@@ -76,8 +76,6 @@ class ColumnAtATimeJoin(JoinAlgorithm):
                            query: ConjunctiveQuery) -> Iterator[Binding]:
         self._check_supported(query)
         block = self._evaluate(database, query)
-        if block is None:
-            return
         variables = query.variables
         positions = [block.schema.index(v) for v in variables]
         seen: Set[Tuple[int, ...]] = set()
@@ -92,8 +90,6 @@ class ColumnAtATimeJoin(JoinAlgorithm):
     def count(self, database: Database, query: ConjunctiveQuery) -> int:
         self._check_supported(query)
         block = self._evaluate(database, query)
-        if block is None:
-            return 0
         variables = query.variables
         positions = [block.schema.index(v) for v in variables]
         distinct: Set[Tuple[int, ...]] = set()
@@ -104,7 +100,7 @@ class ColumnAtATimeJoin(JoinAlgorithm):
 
     # ------------------------------------------------------------------
     def _evaluate(self, database: Database,
-                  query: ConjunctiveQuery) -> Optional[_ColumnBlock]:
+                  query: ConjunctiveQuery) -> _ColumnBlock:
         order = greedy_smallest_first_order(database, query)
         self.last_atom_order = list(order)
         self.last_intermediate_sizes = []
@@ -126,7 +122,9 @@ class ColumnAtATimeJoin(JoinAlgorithm):
                 return _ColumnBlock(query.variables,
                                     [[] for _ in query.variables])
         if current is None:
-            return None
+            # Every atom is a satisfied ground atom: one empty row.
+            current = _ColumnBlock((), [])
+            current.length = 1
         missing = [v for v in query.variables if v not in current.schema]
         if missing:
             raise ExecutionError(f"columnar plan failed to bind {missing}")

@@ -12,7 +12,16 @@ optimal.
 This implementation navigates :class:`repro.storage.trie.TrieIndex` objects
 directly with explicit prefixes rather than stateful iterators; the search
 pattern (and therefore the asymptotics) is identical to the iterator
-formulation, and it keeps the recursion easy to read.
+formulation, and it keeps the recursion easy to read.  Every seek goes
+through :meth:`TrieIndex.seek_value`; the prefix stays fixed while one
+attribute is intersected, so after the first seek below it each seek is a
+memoised range lookup plus one binary search.  Planning resolves every
+variable a level refers to (trie prefixes, filter bounds) to its integer
+position in the attribute order, so the inner loop indexes a list of bound
+values and hashes no variables.  The plan and the bound values are locals
+of one search, so one instance may run interleaved enumerations.  A query
+without variables has one empty answer when each of its ground atoms holds,
+none otherwise.
 
 Comparison filters such as ``a < b < c`` are pushed into the search: a
 filter whose greater side is the current attribute tightens the lower seek
@@ -42,31 +51,22 @@ from repro.util import TimeBudget
 
 
 @dataclass
-class _AtomPlan:
-    """Execution metadata for one atom under a fixed variable order."""
-
-    index: TrieIndex
-    # GAO positions of the atom's variables, ascending; level k of the trie
-    # stores the variable at gao position ``gao_positions[k]``.
-    gao_positions: Tuple[int, ...]
-    # For each trie level, the GAO position it binds (same as gao_positions);
-    # kept as a dict for O(1) lookup from gao position to trie level.
-    level_of_position: Dict[int, int]
-
-
-@dataclass
 class _LevelPlan:
-    """Per-attribute execution metadata."""
+    """Per-attribute execution metadata; variables appear as GAO positions."""
 
     variable: Variable
-    # (atom plan, trie level) pairs for every atom containing the variable.
-    participants: List[Tuple[_AtomPlan, int]]
+    # (index, prefix positions) for every atom containing the variable: the
+    # atom's trie reaches this attribute below the values bound at these GAO
+    # positions, shallowest first.
+    participants: List[Tuple[TrieIndex, Tuple[int, ...]]]
     # Filters that become fully checkable at this level.
     checks: List[ComparisonAtom]
-    # Filters of the form ``other < var`` / ``other <= var`` giving lower bounds.
-    lower_bounds: List[Tuple[Variable, bool]]  # (other, strict)
-    # Filters of the form ``var < other`` / ``var <= other`` giving upper cutoffs.
-    upper_bounds: List[Tuple[Variable, bool]]  # (other, strict)
+    # Filters of the form ``other < var`` / ``other <= var`` giving lower
+    # bounds, as (GAO position of ``other``, strict).
+    lower_bounds: List[Tuple[int, bool]]
+    # Filters of the form ``var < other`` / ``var <= other`` giving upper
+    # cutoffs, as (GAO position of ``other``, strict).
+    upper_bounds: List[Tuple[int, bool]]
 
 
 class LeapfrogTrieJoin(JoinAlgorithm):
@@ -105,46 +105,47 @@ class LeapfrogTrieJoin(JoinAlgorithm):
             )
         return tuple(by_name[name] for name in self.variable_order)
 
-    def _plan(self, database: Database,
-              query: ConjunctiveQuery) -> Tuple[Tuple[Variable, ...], List[_LevelPlan]]:
+    def _plan(self, database: Database, query: ConjunctiveQuery
+              ) -> Tuple[Tuple[Variable, ...], Optional[List[_LevelPlan]]]:
+        """The attribute order and one plan per attribute.
+
+        The level list is ``None`` when a fully ground atom selects nothing,
+        which empties the query; it is empty when the query has no variables.
+        """
         order = self._attribute_order(query)
         position_of = {variable: index for index, variable in enumerate(order)}
 
-        atom_plans: List[_AtomPlan] = []
+        # Per atom: its index and the GAO positions of its trie levels.
+        atom_plans: List[Tuple[TrieIndex, Tuple[int, ...]]] = []
         for atom in query.atoms:
             relation = resolve_atom_relation(database, atom)
             columns = atom_variable_columns(atom)
             if not columns:
                 # Fully ground atom: an empty relation kills the query.
                 if len(relation) == 0:
-                    return order, []
+                    return order, None
                 continue
             # Sort the atom's variables by GAO position; the trie must be
             # built in that column order (GAO consistency).
             ordered = sorted(columns, key=lambda pair: position_of[pair[0]])
             column_order = [column for _, column in ordered]
-            index = TrieIndex(relation, column_order)
             gao_positions = tuple(position_of[variable] for variable, _ in ordered)
-            atom_plans.append(_AtomPlan(
-                index=index,
-                gao_positions=gao_positions,
-                level_of_position={p: level for level, p in enumerate(gao_positions)},
-            ))
+            atom_plans.append((TrieIndex(relation, column_order), gao_positions))
 
         levels: List[_LevelPlan] = []
         for position, variable in enumerate(order):
-            participants: List[Tuple[_AtomPlan, int]] = []
-            for plan in atom_plans:
-                level = plan.level_of_position.get(position)
-                if level is not None:
-                    participants.append((plan, level))
+            participants = [
+                (index, gao_positions[:gao_positions.index(position)])
+                for index, gao_positions in atom_plans
+                if position in gao_positions
+            ]
             if not participants:
                 raise ExecutionError(
                     f"variable {variable} is not covered by any atom"
                 )
             checks: List[ComparisonAtom] = []
-            lower_bounds: List[Tuple[Variable, bool]] = []
-            upper_bounds: List[Tuple[Variable, bool]] = []
+            lower_bounds: List[Tuple[int, bool]] = []
+            upper_bounds: List[Tuple[int, bool]] = []
             for flt in query.filters:
                 positions = [position_of[v] for v in flt.variables]
                 if max(positions) != position:
@@ -166,8 +167,8 @@ class LeapfrogTrieJoin(JoinAlgorithm):
     @staticmethod
     def _extract_bound(flt: ComparisonAtom, variable: Variable,
                        position_of: Dict[Variable, int],
-                       lower_bounds: List[Tuple[Variable, bool]],
-                       upper_bounds: List[Tuple[Variable, bool]]) -> bool:
+                       lower_bounds: List[Tuple[int, bool]],
+                       upper_bounds: List[Tuple[int, bool]]) -> bool:
         """Register ``flt`` as a seek bound if it has the right shape.
 
         Returns True when the filter was fully handled as a bound; False when
@@ -179,17 +180,17 @@ class LeapfrogTrieJoin(JoinAlgorithm):
         # Normalize to "low-side OP high-side" with the current variable last.
         if op in ("<", "<="):
             if right == variable:
-                lower_bounds.append((left, op == "<"))
+                lower_bounds.append((position_of[left], op == "<"))
                 return True
             if left == variable:
-                upper_bounds.append((right, op == "<"))
+                upper_bounds.append((position_of[right], op == "<"))
                 return True
         if op in (">", ">="):
             if left == variable:
-                lower_bounds.append((right, op == ">"))
+                lower_bounds.append((position_of[right], op == ">"))
                 return True
             if right == variable:
-                upper_bounds.append((left, op == ">"))
+                upper_bounds.append((position_of[left], op == ">"))
                 return True
         return False
 
@@ -200,112 +201,97 @@ class LeapfrogTrieJoin(JoinAlgorithm):
                            query: ConjunctiveQuery) -> Iterator[Binding]:
         self._check_supported(query)
         order, levels = self._plan(database, query)
-        if not levels:
-            if order and len(query.variables) > 0:
-                return
+        if levels is None:
             return
-        values: List[int] = [0] * len(order)
-        yield from self._search(0, values, order, levels)
+        if not levels:
+            # No variables and every ground atom holds: one empty binding.
+            yield {}
+            return
+        yield from self._search(0, [0] * len(order), order, levels)
 
     def count(self, database: Database, query: ConjunctiveQuery) -> int:
         self._check_supported(query)
         order, levels = self._plan(database, query)
-        if not levels:
+        if levels is None:
             return 0
-        values: List[int] = [0] * len(order)
-        return self._count_level(0, values, order, levels)
+        if not levels:
+            return 1
+        return self._count(0, [0] * len(order), order, levels)
 
     # -- recursive search -------------------------------------------------
-    def _candidate_values(self, depth: int, values: List[int],
-                          levels: List[_LevelPlan]) -> Iterator[int]:
-        """Yield the leapfrog intersection at ``depth`` in increasing order."""
-        level = levels[depth]
+    def _candidate_values(self, level: _LevelPlan,
+                          values: List[int]) -> Iterator[int]:
+        """Yield the leapfrog intersection at ``level`` in increasing order."""
         lower = 0
-        for other, strict in level.lower_bounds:
-            bound = values[self._position_cache[other]]
+        for position, strict in level.lower_bounds:
+            bound = values[position]
             lower = max(lower, bound + 1 if strict else bound)
         upper: Optional[int] = None
-        for other, strict in level.upper_bounds:
-            bound = values[self._position_cache[other]]
+        for position, strict in level.upper_bounds:
+            bound = values[position]
             cutoff = bound - 1 if strict else bound
             upper = cutoff if upper is None else min(upper, cutoff)
 
-        participants = []
-        for plan, trie_level in level.participants:
-            prefix = tuple(
-                values[plan.gao_positions[k]] for k in range(trie_level)
-            )
-            participants.append((plan.index, prefix))
+        # One (seek, prefix) pair per participant; the prefix is fixed for
+        # the whole intersection, so every seek below it hits the index's
+        # memoised prefix range.
+        participants = [
+            (index.seek_value, tuple([values[p] for p in positions]))
+            for index, positions in level.participants
+        ]
+        tick = None if self.budget.seconds is None else self.budget.tick
 
         candidate = lower
         while True:
-            self.budget.tick()
+            if tick is not None:
+                tick()
             if upper is not None and candidate > upper:
                 return
             # Leapfrog: raise the candidate to the max of all participants'
             # least keys >= candidate until they all agree.
             agreed = candidate
-            exhausted = False
             changed = True
             while changed:
                 changed = False
-                for index, prefix in participants:
-                    key = index.seek_value(prefix, agreed)
+                for seek, prefix in participants:
+                    key = seek(prefix, agreed)
                     if key is None:
-                        exhausted = True
-                        break
+                        return
                     if key > agreed:
                         agreed = key
                         changed = True
-                if exhausted:
-                    break
-            if exhausted:
-                return
             if upper is not None and agreed > upper:
                 return
             yield agreed
             candidate = agreed + 1
 
-    def _check_filters(self, depth: int, values: List[int],
-                       order: Sequence[Variable],
-                       levels: List[_LevelPlan]) -> bool:
-        binding = {order[i]: values[i] for i in range(depth + 1)}
-        for flt in levels[depth].checks:
-            if not flt.evaluate(binding):
-                return False
-        return True
+    @staticmethod
+    def _filters_hold(checks: List[ComparisonAtom], depth: int,
+                      values: List[int], order: Sequence[Variable]) -> bool:
+        binding = dict(zip(order[:depth + 1], values))
+        return all(flt.evaluate(binding) for flt in checks)
 
     def _search(self, depth: int, values: List[int], order: Sequence[Variable],
                 levels: List[_LevelPlan]) -> Iterator[Binding]:
-        self._position_cache = {v: i for i, v in enumerate(order)}
-        yield from self._search_inner(depth, values, order, levels)
-
-    def _search_inner(self, depth: int, values: List[int],
-                      order: Sequence[Variable],
-                      levels: List[_LevelPlan]) -> Iterator[Binding]:
-        for value in self._candidate_values(depth, values, levels):
+        checks = levels[depth].checks
+        last = depth == len(order) - 1
+        for value in self._candidate_values(levels[depth], values):
             values[depth] = value
-            if not self._check_filters(depth, values, order, levels):
+            if checks and not self._filters_hold(checks, depth, values, order):
                 continue
-            if depth == len(order) - 1:
-                yield {order[i]: values[i] for i in range(len(order))}
+            if last:
+                yield dict(zip(order, values))
             else:
-                yield from self._search_inner(depth + 1, values, order, levels)
+                yield from self._search(depth + 1, values, order, levels)
 
-    def _count_level(self, depth: int, values: List[int],
-                     order: Sequence[Variable], levels: List[_LevelPlan]) -> int:
-        self._position_cache = {v: i for i, v in enumerate(order)}
-        return self._count_inner(depth, values, order, levels)
-
-    def _count_inner(self, depth: int, values: List[int],
-                     order: Sequence[Variable], levels: List[_LevelPlan]) -> int:
+    def _count(self, depth: int, values: List[int], order: Sequence[Variable],
+               levels: List[_LevelPlan]) -> int:
+        checks = levels[depth].checks
+        last = depth == len(order) - 1
         total = 0
-        for value in self._candidate_values(depth, values, levels):
+        for value in self._candidate_values(levels[depth], values):
             values[depth] = value
-            if not self._check_filters(depth, values, order, levels):
+            if checks and not self._filters_hold(checks, depth, values, order):
                 continue
-            if depth == len(order) - 1:
-                total += 1
-            else:
-                total += self._count_inner(depth + 1, values, order, levels)
+            total += 1 if last else self._count(depth + 1, values, order, levels)
         return total

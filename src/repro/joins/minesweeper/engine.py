@@ -312,6 +312,15 @@ class MinesweeperJoin(JoinAlgorithm):
     def enumerate_bindings(self, database: Database,
                            query: ConjunctiveQuery) -> Iterator[Binding]:
         self._check_supported(query)
+        if not query.variables:
+            # A zero-width CDS does not exist: the answer is one empty
+            # binding when every ground atom holds, none otherwise.
+            self.last_order = ()
+            self.last_statistics = MinesweeperStatistics(num_atoms=len(query.atoms))
+            if all(len(resolve_atom_relation(database, atom))
+                   for atom in query.atoms):
+                yield {}
+            return
         try:
             runner = _MinesweeperRun(self, database, query)
         except _EmptyGroundAtom:

@@ -14,12 +14,26 @@ The index supports the two access patterns the paper's algorithms need:
 The trie is not materialised as linked nodes; it is a binary-search view
 over the relation's sorted tuple list, which keeps construction O(N log N)
 and navigation O(log N) per step while staying allocation-free.
+
+:meth:`TrieIndex.seek_value` memoises prefix ranges per index: the first
+seek below a prefix finds the prefix's tuple range ``[lo, hi)`` with two
+binary searches and records it, and every later seek below the same prefix
+is one dictionary lookup plus one binary search inside ``[lo, hi)``.  Leapfrog
+Triejoin seeks many times below the same prefix while it intersects one
+attribute, so this is where its time goes.  The memo holds only immutable
+``(lo, hi)`` pairs, written idempotently (two threads racing on one prefix
+write the same pair), never a mutable cursor: an index shared through
+:meth:`repro.storage.database.Database.index` is read by concurrent queries,
+and a remembered search position would let one query's seek start past
+another's answer.  Only present prefixes are recorded, so the memo is
+bounded by the number of distinct prefixes of the index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.relation import Relation
@@ -41,7 +55,8 @@ class TrieIndex:
         for the index of each atom in the order induced by the GAO.
     """
 
-    __slots__ = ("relation", "column_order", "_tuples", "arity")
+    __slots__ = ("relation", "column_order", "_tuples", "arity", "_ranges",
+                 "_columns")
 
     def __init__(self, relation: Relation, column_order: Sequence[int]) -> None:
         if sorted(column_order) != list(range(relation.arity)):
@@ -55,6 +70,10 @@ class TrieIndex:
         self._tuples: List[Tuple_] = sorted(
             tuple(row[c] for c in self.column_order) for row in relation.tuples
         )
+        # Prefix tuple -> (lo, hi) tuple range; see the module docstring.
+        self._ranges: Dict[Tuple_, Tuple[int, int]] = {}
+        # Level -> key function reading that level's value off a tuple.
+        self._columns = tuple(itemgetter(level) for level in range(self.arity))
 
     # ------------------------------------------------------------------
     # Whole-index properties
@@ -137,15 +156,31 @@ class TrieIndex:
         return self._tuples[lower][depth]
 
     def seek_value(self, prefix: Sequence[int], value: int) -> Optional[int]:
-        """Least value ``>= value`` below ``prefix`` (``None`` if no such value)."""
-        depth = len(prefix)
-        lower, upper = self.prefix_range(prefix)
-        if lower >= upper:
-            return None
-        position = bisect_left(self._tuples, tuple(prefix) + (value,), lower, upper)
+        """Least value ``>= value`` below ``prefix`` (``None`` if no such value).
+
+        The prefix's tuple range is memoised per index, so repeated seeks
+        below one prefix — in any order, from any thread — cost one
+        dictionary lookup and one binary search.  The memo stores only
+        immutable ``(lo, hi)`` pairs of present prefixes, which makes it safe
+        to share between threads and bounds it by the number of distinct
+        prefixes of the index (see the module docstring).
+        """
+        if type(prefix) is not tuple:
+            prefix = tuple(prefix)
+        bounds = self._ranges.get(prefix)
+        if bounds is None:
+            if len(prefix) >= self.arity:
+                raise StorageError("seek_value cannot be asked below the last level")
+            bounds = self.prefix_range(prefix)
+            if bounds[0] >= bounds[1]:
+                return None
+            self._ranges[prefix] = bounds
+        lower, upper = bounds
+        column = self._columns[len(prefix)]
+        position = bisect_left(self._tuples, value, lower, upper, key=column)
         if position >= upper:
             return None
-        return self._tuples[position][depth]
+        return column(self._tuples[position])
 
     def next_value(self, prefix: Sequence[int], value: int) -> Optional[int]:
         """Least value strictly greater than ``value`` below ``prefix``."""

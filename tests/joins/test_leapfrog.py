@@ -1,13 +1,17 @@
 """Tests for Leapfrog Triejoin."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ExecutionError
+from repro.data.generators import powerlaw_cluster_graph
 from repro.datalog.parser import parse_query
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.naive import NaiveBacktrackingJoin
 from repro.queries.patterns import build_query
 from repro.storage import Database, Relation, edge_relation_from_pairs, node_relation
+from repro.storage.trie import TrieIndex
 from repro.util import TimeBudget
 from repro.errors import TimeoutExceeded
 
@@ -97,3 +101,56 @@ class TestScaling:
         query = build_query("4-clique")
         with pytest.raises(TimeoutExceeded):
             LeapfrogTrieJoin(budget=TimeBudget(0.0, check_every=1)).count(db, query)
+
+
+def _rows(bindings, variables):
+    return sorted(tuple(binding[v] for v in variables) for binding in bindings)
+
+
+class TestSharedInstance:
+    def test_interleaved_enumerations_match_oracle(self, small_db):
+        # Two generators on one instance, advanced in lockstep: neither may
+        # read the other's plan or bound values.
+        first = parse_query("edge(a,b), edge(b,c), a<c")
+        second = parse_query("edge(c,b), edge(b,a), edge(a,d), d<c")
+        lftj = LeapfrogTrieJoin()
+        streams = [lftj.enumerate_bindings(small_db, first),
+                   lftj.enumerate_bindings(small_db, second)]
+        got = [[], []]
+        for pair in itertools.zip_longest(*streams):
+            for rows, binding in zip(got, pair):
+                if binding is not None:
+                    rows.append(binding)
+        naive = NaiveBacktrackingJoin()
+        for query, bindings in zip((first, second), got):
+            variables = query.variables
+            assert _rows(bindings, variables) == \
+                _rows(naive.enumerate_bindings(small_db, query), variables)
+
+
+class TestSeekCount:
+    # Counts of TrieIndex.seek_value calls, pinned from the implementation
+    # before prefix ranges were memoised: a faster seek must not change how
+    # many seeks the join makes.  The wrapper has the exact
+    # (self, prefix, value) shape the benchmark's seek counter patches in.
+    @pytest.mark.parametrize("pattern_name, rows, seeks", [
+        ("3-clique", 1374, 34843),
+        ("4-cycle", 3170, 141656),
+    ])
+    def test_seek_count_is_pinned(self, monkeypatch, pattern_name, rows, seeks):
+        database = Database([edge_relation_from_pairs(
+            powerlaw_cluster_graph(400, 5, 0.6, seed=17))])
+        calls = [0]
+        original = TrieIndex.seek_value
+
+        def counting(self, prefix, value):
+            calls[0] += 1
+            return original(self, prefix, value)
+        monkeypatch.setattr(TrieIndex, "seek_value", counting)
+        query = build_query(pattern_name)
+        assert LeapfrogTrieJoin().count(database, query) == rows
+        assert calls[0] == seeks
+        calls[0] = 0
+        assert sum(1 for _ in LeapfrogTrieJoin().enumerate_bindings(
+            database, query)) == rows
+        assert calls[0] == seeks
