@@ -23,6 +23,7 @@ from repro.datalog.query import ConjunctiveQuery
 from repro.datalog.terms import Constant, Variable, is_variable
 from repro.storage.database import Database
 from repro.storage.relation import Relation
+from repro.storage.trie import TrieIndex
 from repro.util import TimeBudget
 
 Binding = Dict[Variable, int]
@@ -86,28 +87,58 @@ class JoinAlgorithm(abc.ABC):
 def resolve_atom_relation(database: Database, atom: Atom) -> Relation:
     """The relation for ``atom`` with constant arguments pre-selected away.
 
-    For an atom like ``edge(a, 5)``, returns ``σ_{dst=5}(edge)`` projected to
-    the variable columns, so that downstream algorithms only ever deal with
-    all-variable atoms.  The projected relation keeps one column per
-    *distinct* variable in order of first occurrence within the atom.
+    An all-variable atom reads its base relation unchanged.  For an atom with
+    constants, like ``edge(5, b)``, the answer is ``σ_{src=5}(edge)``
+    projected to the variable columns, so that downstream algorithms only
+    ever deal with all-variable atoms.  It is cut out of the catalog trie
+    whose leading columns are the constant columns, followed by the variable
+    columns in position order: the rows under the constants' prefix are one
+    contiguous range of that trie, and with the prefix stripped they are
+    already sorted and unique, so the cost is one prefix search plus the
+    rows copied.  The result keeps one column per variable *occurrence*, in
+    position order, matching :func:`atom_variable_columns`.
     """
-    relation = database.relation(atom.name)
-    constant_columns = [
-        (position, term.value)
-        for position, term in enumerate(atom.terms)
-        if isinstance(term, Constant)
-    ]
-    for position, value in constant_columns:
-        relation = relation.select_eq(position, value)
-    if not constant_columns:
-        return relation
+    constants = [(position, term.value)
+                 for position, term in enumerate(atom.terms)
+                 if isinstance(term, Constant)]
+    if not constants:
+        return database.relation(atom.name)
     variable_columns = [
         position for position, term in enumerate(atom.terms) if is_variable(term)
     ]
+    index = database.index(
+        atom.name, [position for position, _ in constants] + variable_columns)
+    lower, upper = index.prefix_range(tuple(value for _, value in constants))
+    rows = index.tuples[lower:upper]
+    attributes = index.relation.attributes
     if not variable_columns:
         # Fully ground atom: keep a single marker column so emptiness checks work.
-        return relation.project([0], name=f"{atom.name}_ground")
-    return relation.project(variable_columns, name=f"{atom.name}_bound")
+        return Relation.from_sorted(f"{atom.name}_ground", 1,
+                                    [row[:1] for row in rows], attributes[:1])
+    width = len(constants)
+    return Relation.from_sorted(
+        f"{atom.name}_bound", len(variable_columns),
+        [row[width:] for row in rows],
+        [attributes[column] for column in variable_columns])
+
+
+def atom_trie(database: Database, atom: Atom, relation: Relation,
+               column_order: Sequence[int]) -> TrieIndex:
+    """The trie of ``relation``, which :func:`resolve_atom_relation` resolved
+    for ``atom``, under ``column_order``.
+
+    This is the catalog trie when the catalog's trie was built from that very
+    relation object: the atom has no constants, and the relation was not
+    replaced since it was resolved.  Otherwise, for a constant slice or a
+    relation that a concurrent write replaced, it is a new trie over the
+    resolved relation, so the trie always holds exactly the rows the atom
+    resolved.
+    """
+    if all(is_variable(term) for term in atom.terms):
+        index = database.index(atom.name, column_order)
+        if index.relation is relation:
+            return index
+    return TrieIndex(relation, column_order)
 
 
 def atom_variable_columns(atom: Atom) -> List[Tuple[Variable, int]]:

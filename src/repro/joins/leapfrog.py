@@ -42,6 +42,7 @@ from repro.datalog.terms import Variable
 from repro.joins.base import (
     Binding,
     JoinAlgorithm,
+    atom_trie,
     atom_variable_columns,
     resolve_atom_relation,
 )
@@ -126,11 +127,12 @@ class LeapfrogTrieJoin(JoinAlgorithm):
                     return order, None
                 continue
             # Sort the atom's variables by GAO position; the trie must be
-            # built in that column order (GAO consistency).
+            # in that column order (GAO consistency).
             ordered = sorted(columns, key=lambda pair: position_of[pair[0]])
             column_order = [column for _, column in ordered]
             gao_positions = tuple(position_of[variable] for variable, _ in ordered)
-            atom_plans.append((TrieIndex(relation, column_order), gao_positions))
+            atom_plans.append((atom_trie(database, atom, relation, column_order),
+                               gao_positions))
 
         levels: List[_LevelPlan] = []
         for position, variable in enumerate(order):

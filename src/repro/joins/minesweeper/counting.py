@@ -32,6 +32,7 @@ from repro.datalog.terms import Variable
 from repro.joins.base import (
     Binding,
     JoinAlgorithm,
+    atom_trie,
     atom_variable_columns,
     resolve_atom_relation,
 )
@@ -186,7 +187,8 @@ class SharingMinesweeperCounter(JoinAlgorithm):
             ordered = sorted(columns, key=lambda pair: position_of[pair[0]])
             column_order = [column for _, column in ordered]
             gao_positions = tuple(position_of[variable] for variable, _ in ordered)
-            participants.append((TrieIndex(relation, column_order), gao_positions))
+            participants.append((atom_trie(database, atom, relation, column_order),
+                                 gao_positions))
         return participants, False
 
     @staticmethod

@@ -34,6 +34,7 @@ from repro.datalog.terms import Variable, is_variable
 from repro.joins.base import (
     Binding,
     JoinAlgorithm,
+    atom_trie,
     atom_variable_columns,
     resolve_atom_relation,
 )
@@ -47,7 +48,6 @@ from repro.joins.minesweeper.constraints import (
 from repro.joins.minesweeper.gaps import AtomProbePlan, GapProber
 from repro.obs.metrics import record_minesweeper_run
 from repro.storage.database import Database
-from repro.storage.trie import TrieIndex
 from repro.util import TimeBudget
 
 
@@ -244,7 +244,7 @@ class MinesweeperJoin(JoinAlgorithm):
                 continue
             ordered = sorted(columns, key=lambda pair: position_of[pair[0]])
             column_order = [column for _, column in ordered]
-            index = TrieIndex(relation, column_order)
+            index = atom_trie(database, atom, relation, column_order)
             gao_positions = tuple(position_of[variable] for variable, _ in ordered)
             plan = AtomProbePlan(
                 atom_index=atom_index,

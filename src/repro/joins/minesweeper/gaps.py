@@ -1,12 +1,13 @@
 """Probing input relations for gap boxes around a free tuple (Ideas 3 and 4).
 
-For every atom, the engine builds a trie index whose column order follows
+For every atom, the engine gets a trie index whose column order follows
 the GAO restricted to the atom's variables (the GAO-consistency assumption
-of §4.1).  ``seek_gap`` projects the free tuple onto the atom's attributes,
-walks the trie level by level, and either confirms the projection is
-present or returns the maximal gap box around it, exactly as described in
-§4.5: find the first level ``j`` whose prefix is present but whose extended
-prefix is not, and report the ``(glb, lub)`` interval at that level.
+of §4.1; see :func:`repro.joins.base.atom_trie`).  ``seek_gap`` projects
+the free tuple onto the atom's attributes, walks the trie level by level,
+and either confirms the projection is present or returns the maximal gap
+box around it, exactly as described in §4.5: find the first level ``j``
+whose prefix is present but whose extended prefix is not, and report the
+``(glb, lub)`` interval at that level.
 
 Idea 4 avoids repeated probes: gaps already reported by a relation and
 projections already confirmed present are remembered, so the (conceptually

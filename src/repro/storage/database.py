@@ -1,4 +1,22 @@
-"""A small catalog: named relations plus cached trie indexes."""
+"""A small catalog: named relations plus the trie indexes every engine reads.
+
+The catalog holds one :class:`~repro.storage.trie.TrieIndex` per (relation,
+column order), built on first request.  LFTJ, Minesweeper and ms-count get
+their tries here (through :func:`repro.joins.base.atom_trie`), and atoms
+with constants are answered as slices of a catalog trie
+(:func:`repro.joins.base.resolve_atom_relation`), so every query, engine and
+service thread over one catalog shares the same tries and their memoised
+prefix ranges.
+
+There is no lock.  Each catalog entry remembers the relation object it was
+built from, and :meth:`Database.index` hands it out only while that object
+is still the one registered under the name; otherwise it builds and stores a
+fresh trie.  A reader racing :meth:`Database.add` therefore gets a trie of
+either the old or the new relation, never a stale one cached for good.  The
+catalog offers no snapshot: a query resolves its atoms one after another, so
+one that reads a relation in several atoms can see two versions of it.
+:meth:`Database.copy` carries no trie over.
+"""
 
 from __future__ import annotations
 
@@ -13,14 +31,16 @@ ChangeListener = Callable[[str], None]
 
 
 class Database:
-    """Named relations with on-demand, cached trie indexes.
+    """Named relations with on-demand trie indexes shared by every engine.
 
     The paper's engines assume each relation is available in one or more
     attribute orders consistent with the query's GAO.  Real systems maintain
     those as persistent indexes; here the catalog builds them lazily the
-    first time an (attribute-order-specific) index is requested and caches
-    them so repeated queries and benchmark iterations do not pay the sort
-    again.
+    first time an (attribute-order-specific) index is requested and keeps
+    them, so repeated queries, engines and threads do not pay the sort again.
+    Entries are checked against the registered relation object on every
+    read instead of under a lock (see the module docstring); replacing or
+    removing a relation also drops its tries so they do not stay resident.
     """
 
     def __init__(self, relations: Optional[Iterable[Relation]] = None) -> None:
@@ -46,10 +66,7 @@ class Database:
             raise SchemaError(f"relation {relation.name!r} already exists")
         self._relations[relation.name] = relation
         # Any cached indexes or statistics for a replaced relation are stale.
-        self._indexes = {
-            key: index for key, index in self._indexes.items()
-            if key[0] != relation.name
-        }
+        self._drop_indexes(relation.name)
         self._statistics.pop(relation.name, None)
         self._note_change(relation.name)
 
@@ -58,11 +75,16 @@ class Database:
         if name not in self._relations:
             raise SchemaError(f"relation {name!r} does not exist")
         del self._relations[name]
-        self._indexes = {
-            key: index for key, index in self._indexes.items() if key[0] != name
-        }
+        self._drop_indexes(name)
         self._statistics.pop(name, None)
         self._note_change(name)
+
+    def _drop_indexes(self, name: str) -> None:
+        # ``list()`` snapshots the keys in one step: a query thread may
+        # insert an entry meanwhile, and iterating the live dict would fail.
+        for key in list(self._indexes):
+            if key[0] == name:
+                self._indexes.pop(key, None)
 
     # ------------------------------------------------------------------
     # Change tracking
@@ -125,43 +147,38 @@ class Database:
         return sum(len(rel) for rel in self._relations.values())
 
     def copy(self) -> "Database":
-        """A shallow copy sharing the (immutable) relations but no index cache."""
+        """A shallow copy sharing the (immutable) relations but no trie index."""
         return Database(self._relations.values())
 
     # ------------------------------------------------------------------
     # Indexes and statistics
     # ------------------------------------------------------------------
     def index(self, name: str, column_order: Sequence[int]) -> TrieIndex:
-        """Return (building and caching if needed) a trie index.
+        """The catalog trie of relation ``name`` under ``column_order``.
 
         ``column_order`` is the permutation of the relation's columns that
-        the index should be sorted by.
+        the index should be sorted by.  The stored trie is returned only if
+        it was built from the relation currently registered under ``name``;
+        otherwise a new one is built over that relation and stored.
         """
         relation = self.relation(name)
         key = (name, tuple(column_order))
-        if key not in self._indexes:
+        index = self._indexes.get(key)
+        if index is None or index.relation is not relation:
             if sorted(column_order) != list(range(relation.arity)):
                 raise StorageError(
                     f"column order {list(column_order)} invalid for relation "
                     f"{name!r} of arity {relation.arity}"
                 )
-            self._indexes[key] = TrieIndex(relation, column_order)
-        return self._indexes[key]
-
-    def natural_index(self, name: str) -> TrieIndex:
-        """The index in the relation's natural column order."""
-        relation = self.relation(name)
-        return self.index(name, tuple(range(relation.arity)))
+            index = TrieIndex(relation, column_order)
+            self._indexes[key] = index
+        return index
 
     def statistics(self, name: str) -> RelationStatistics:
         """Cached per-relation statistics for the cost-based optimizer."""
         if name not in self._statistics:
             self._statistics[name] = collect_statistics(self.relation(name))
         return self._statistics[name]
-
-    def index_cache_size(self) -> int:
-        """Number of materialised indexes (useful in tests and benchmarks)."""
-        return len(self._indexes)
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -13,7 +13,11 @@ The index supports the two access patterns the paper's algorithms need:
 
 The trie is not materialised as linked nodes; it is a binary-search view
 over the relation's sorted tuple list, which keeps construction O(N log N)
-and navigation O(log N) per step while staying allocation-free.
+and navigation O(log N) per step while staying allocation-free.  An index in
+the relation's natural column order shares the relation's own tuple list and
+costs nothing to build: a :class:`~repro.storage.relation.Relation` keeps its
+tuples sorted and unique and never mutates them after construction, and
+neither does the index.  Any other order sorts one permuted copy.
 
 :meth:`TrieIndex.seek_value` memoises prefix ranges per index: the first
 seek below a prefix finds the prefix's tuple range ``[lo, hi)`` with two
@@ -67,9 +71,13 @@ class TrieIndex:
         self.relation = relation
         self.column_order = tuple(column_order)
         self.arity = relation.arity
-        self._tuples: List[Tuple_] = sorted(
-            tuple(row[c] for c in self.column_order) for row in relation.tuples
-        )
+        # A relation's tuples are sorted, unique and never mutated, so the
+        # natural order shares its list (see the module docstring).
+        if self.column_order == tuple(range(self.arity)):
+            self._tuples: List[Tuple_] = relation.tuples
+        else:
+            self._tuples = sorted(
+                map(itemgetter(*self.column_order), relation.tuples))
         # Prefix tuple -> (lo, hi) tuple range; see the module docstring.
         self._ranges: Dict[Tuple_, Tuple[int, int]] = {}
         # Level -> key function reading that level's value off a tuple.

@@ -1,10 +1,11 @@
-"""Tests for the Database catalog and its index cache."""
+"""Tests for the Database catalog and its trie indexes."""
 
 import pytest
 
 from repro.errors import SchemaError, StorageError
 from repro.storage.database import Database
 from repro.storage.relation import Relation
+from repro.storage.trie import TrieIndex
 
 
 @pytest.fixture
@@ -44,33 +45,62 @@ class TestCatalog:
         assert database.total_tuples() == 5
 
     def test_copy_shares_relations_not_cache(self, database):
-        database.natural_index("edge")
+        index = database.index("edge", (0, 1))
         clone = database.copy()
-        assert clone.index_cache_size() == 0
-        assert len(clone.relation("edge")) == 3
+        assert clone.relation("edge") is database.relation("edge")
+        assert clone.index("edge", (0, 1)) is not index
+        assert database.index("edge", (0, 1)) is index
 
 
 class TestIndexes:
     def test_index_is_cached(self, database):
         first = database.index("edge", (1, 0))
-        second = database.index("edge", (1, 0))
+        second = database.index("edge", [1, 0])
         assert first is second
-        assert database.index_cache_size() == 1
+        assert first.relation is database.relation("edge")
 
     def test_different_orders_are_different_indexes(self, database):
-        database.index("edge", (0, 1))
-        database.index("edge", (1, 0))
-        assert database.index_cache_size() == 2
+        natural = database.index("edge", (0, 1))
+        reversed_ = database.index("edge", (1, 0))
+        assert natural is not reversed_
+        assert database.index("edge", (0, 1)) is natural
+        assert database.index("edge", (1, 0)) is reversed_
+        assert reversed_.tuples == [(2, 1), (3, 1), (3, 2)]
 
     def test_invalid_order_rejected(self, database):
         with pytest.raises(StorageError):
             database.index("edge", (0, 0))
 
     def test_replacing_relation_invalidates_cache(self, database):
-        database.natural_index("edge")
+        old = database.index("edge", (0, 1))
         database.add(Relation("edge", 2, [(7, 7)]), replace=True)
-        assert database.index_cache_size() == 0
-        assert database.natural_index("edge").tuples == [(7, 7)]
+        new = database.index("edge", (0, 1))
+        assert new is not old
+        assert new.tuples == [(7, 7)]
+        assert database.index("edge", (0, 1)) is new
+
+    def test_replace_during_build_caches_no_stale_trie(self, monkeypatch):
+        # A writer thread may replace the relation while a reader builds a
+        # trie of the old one; patching the build to do exactly that makes
+        # the interleaving deterministic.
+        database = Database([Relation("edge", 2, [(1, 2), (2, 3)])])
+        replacement = Relation("edge", 2, [(7, 7)])
+        build = TrieIndex.__init__
+        pending = [replacement]
+
+        def build_then_replace(self, relation, column_order):
+            build(self, relation, column_order)
+            if pending:
+                database.add(pending.pop(), replace=True)
+
+        monkeypatch.setattr(TrieIndex, "__init__", build_then_replace)
+        racing = database.index("edge", (0, 1))
+        assert racing.tuples == [(1, 2), (2, 3)]
+        assert database.relation("edge") is replacement
+        fresh = database.index("edge", (0, 1))
+        assert fresh.relation is replacement
+        assert fresh.tuples == [(7, 7)]
+        assert database.index("edge", (0, 1)) is fresh
 
     def test_statistics_cached_and_refreshed(self, database):
         stats = database.statistics("edge")

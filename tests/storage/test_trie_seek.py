@@ -1,9 +1,12 @@
-"""``TrieIndex.seek_value`` against a brute-force oracle.
+"""``TrieIndex`` builds and ``seek_value`` against brute-force oracles.
 
 ``seek_value`` memoises each prefix's tuple range inside the index, so
 these tests seek the same prefix repeatedly, with decreasing values, with
 prefixes passed as tuples and as lists, and from several threads over one
-index shared through ``Database.index``.
+index shared through ``Database.index``.  Every engine reads its tries from
+that catalog, so the last tests run queries from two service worker threads
+over one catalog, with and without a writer replacing a relation, against
+the naive join.
 """
 
 import random
@@ -16,7 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.parser import parse_query
 from repro.errors import StorageError
+from repro.joins.base import bindings_to_tuples
+from repro.joins.naive import NaiveBacktrackingJoin
+from repro.service import QueryService, ServiceConfig
 from repro.storage import Database
 from repro.storage.relation import Relation
 from repro.storage.trie import TrieIndex
@@ -41,6 +48,18 @@ def indexed_relations(draw):
         st.tuples(*[st.integers(0, 6)] * arity), min_size=0, max_size=30))
     column_order = draw(st.permutations(range(arity)))
     return arity, rows, tuple(column_order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation=indexed_relations())
+def test_build_matches_sorted_permutation(relation):
+    arity, rows, column_order = relation
+    base = Relation("R", arity, rows)
+    index = TrieIndex(base, column_order)
+    assert index.tuples == sorted(
+        tuple(row[c] for c in column_order) for row in base)
+    if column_order == tuple(range(arity)):
+        assert index.tuples is base.tuples
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,3 +165,79 @@ def test_shared_index_is_safe_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def _random_graph(name: str, seed: int) -> Relation:
+    rng = random.Random(seed)
+    return Relation(name, 2, {(rng.randrange(30), rng.randrange(30))
+                              for _ in range(150)})
+
+
+def _naive_rows(database: Database, text: str) -> Tuple[Tuple[int, ...], ...]:
+    query = parse_query(text)
+    bindings = NaiveBacktrackingJoin().enumerate_bindings(database, query)
+    return tuple(bindings_to_tuples(bindings, query.variables))
+
+
+@pytest.mark.parametrize("writer", [False, True], ids=["readers", "writer"])
+def test_service_threads_share_the_catalog(writer):
+    # Each query reads ``hot`` in exactly one atom, so while a writer swaps
+    # it between two versions every answer is the naive answer on one of
+    # them.  A result cache of one entry makes the workers run the engines.
+    edge = _random_graph("edge", 1)
+    versions = [_random_graph("hot", 2), _random_graph("hot", 3)][:1 + writer]
+    queries = [("edge(a, b), edge(b, c), hot(a, c)", "lftj"),
+               ("edge(a, b), hot(b, c), edge(c, d)", "ms")]
+    queries += [(f"hot({node}, b), edge(b, c)", "lftj") for node in range(6)]
+    queries += [(f"edge(b, {node}), hot(b, c)", "ms") for node in range(6)]
+    expected = {
+        text: {_naive_rows(Database([edge, version]), text)
+               for version in versions}
+        for text, _ in queries
+    }
+    database = Database([edge, versions[0]])
+    service = QueryService(database, ServiceConfig(workers=2,
+                                                   result_cache_size=1))
+    stop = threading.Event()
+
+    def write() -> None:
+        turn = 0
+        while not stop.is_set():
+            turn += 1
+            database.add(versions[turn % 2], replace=True)
+            time.sleep(0.0005)
+
+    writer_thread = threading.Thread(target=write) if writer else None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    failures: List[str] = []
+    try:
+        if writer_thread is not None:
+            writer_thread.start()
+        for _ in range(4):
+            futures = [(text, service.submit(text, algorithm=algorithm,
+                                             mode="tuples"))
+                       for text, algorithm in queries]
+            for text, future in futures:
+                outcome = future.result(timeout=60)
+                if tuple(outcome.value or ()) not in expected[text]:
+                    failures.append(f"{text} [{outcome.algorithm}]: "
+                                    f"{outcome.error or outcome.value}")
+    finally:
+        stop.set()
+        if writer_thread is not None:
+            writer_thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    try:
+        assert writer_thread is None or not writer_thread.is_alive()
+        assert failures == []
+        # Once writes stop, every query reads the version written last.
+        for version in versions:
+            database.add(version, replace=True)
+            final = Database([edge, version])
+            for text, algorithm in queries:
+                outcome = service.execute(text, algorithm=algorithm,
+                                          mode="tuples")
+                assert outcome.value == _naive_rows(final, text), text
+    finally:
+        service.close()
