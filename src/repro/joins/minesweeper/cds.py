@@ -19,24 +19,33 @@ whose pattern *generalizes* the current prefix ``(t_0, ..., t_{d-1})``; for
 form a chain (Proposition 4.2), which is what makes the interval caching of
 Idea 5 and the complete nodes of Idea 6 effective.  This implementation
 does not *require* the chain property: caching is applied only when the
-constraining nodes do form a chain (detected via their exact-position
-sets), so the data structure stays correct for arbitrary queries — exactly
-the robustness Idea 7 relies on.
+constraining nodes do form a chain, so the data structure stays correct
+for arbitrary queries — exactly the robustness Idea 7 relies on.
+
+The walk is the engine's hot loop, so ``compute_free_tuple`` is one
+iterative function over flat per-node state that folds in getFreeValue
+(Algorithm 5) and the chain test.  Each node records the GAO positions at
+which its pattern has an exact value as an int bitmask plus the number of
+set bits.  All constraining nodes generalize the same prefix, so node A
+specializes node B exactly when B's mask is a subset of A's: the chain's
+bottom is the first node with the most exact positions, and the nodes form
+a chain iff no mask has a bit outside the bottom's, i.e. iff the union of
+their masks is the bottom's mask.  Each node also binds its interval list's
+sorted ``lows`` / ``highs`` lists, so ``next_free`` is one inlined bisect.
+A lone constraining node needs no ping-pong: its intervals are disjoint, so
+one bisect finds the free value and the second round, which only confirms
+it, is counted without being run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExecutionError
 from repro.joins.minesweeper.constraints import WILDCARD, Constraint
-from repro.joins.minesweeper.intervals import (
-    NEG_INF,
-    POS_INF,
-    IntervalList,
-    interval_is_empty,
-)
+from repro.joins.minesweeper.intervals import POS_INF, IntervalList
 
 Number = Union[int, float]
 Label = Union[int, str]
@@ -45,35 +54,36 @@ Label = Union[int, str]
 class CDSNode:
     """One node of the constraint tree."""
 
-    __slots__ = ("label", "parent", "depth", "children", "intervals",
-                 "exact_positions", "exhaust_count", "complete")
+    __slots__ = ("label", "parent", "depth", "children", "intervals", "lows",
+                 "highs", "mask", "exact_count", "exhaust_count", "complete")
 
     def __init__(self, label: Optional[Label], parent: Optional["CDSNode"]) -> None:
         self.label = label
         self.parent = parent
-        self.depth = 0 if parent is None else parent.depth + 1
         self.children: Dict[Label, CDSNode] = {}
         self.intervals = IntervalList()
-        # GAO positions at which the node's pattern has an exact value.
+        # The interval list's live endpoint lists, read by the walk.
+        self.lows = self.intervals.lows
+        self.highs = self.intervals.highs
+        # GAO positions at which the node's pattern has an exact value, as
+        # a bitmask, and how many there are.
         if parent is None:
-            self.exact_positions: frozenset = frozenset()
-        elif label == WILDCARD:
-            self.exact_positions = parent.exact_positions
+            self.depth = 0
+            self.mask = 0
+            self.exact_count = 0
         else:
-            self.exact_positions = parent.exact_positions | {parent.depth}
+            self.depth = parent.depth + 1
+            if label == WILDCARD:
+                self.mask = parent.mask
+                self.exact_count = parent.exact_count
+            else:
+                self.mask = parent.mask | (1 << parent.depth)
+                self.exact_count = parent.exact_count + 1
         # Idea 6 bookkeeping: a node becomes "complete" after the search has
         # exhausted its level twice; from then on its own interval list is
         # enough and the ping-pong over the chain can be skipped.
         self.exhaust_count = 0
         self.complete = False
-
-    def child(self, label: Label, create: bool = False) -> Optional["CDSNode"]:
-        """Return the child along ``label``, creating it when asked."""
-        node = self.children.get(label)
-        if node is None and create:
-            node = CDSNode(label, self)
-            self.children[label] = node
-        return node
 
     def pattern(self) -> Tuple[Label, ...]:
         """The labels from the root to this node (diagnostics and tests)."""
@@ -175,21 +185,24 @@ class ConstraintTree:
         node = self.root
         for position in range(constraint.interval_position):
             label: Label = exact.get(position, WILDCARD)
-            existed = label in node.children
-            node = node.child(label, create=True)  # type: ignore[assignment]
-            if not existed:
+            child = node.children.get(label)
+            if child is None:
+                child = node.children[label] = CDSNode(label, node)
                 self._node_count += 1
                 self.statistics.nodes_created += 1
+            node = child
         merged_low, merged_high = node.intervals.insert(constraint.low, constraint.high)
         self.statistics.constraints_inserted += 1
         # Point-list benefit (Idea 1): children whose label now lies strictly
         # inside the merged interval are subsumed and can be pruned.
-        for label in list(node.children):
-            if isinstance(label, int) and merged_low < label < merged_high:
-                del node.children[label]
+        children = node.children
+        if children:
+            for label in list(children):
+                if isinstance(label, int) and merged_low < label < merged_high:
+                    del children[label]
 
     # ------------------------------------------------------------------
-    # computeFreeTuple (Algorithm 4, iterative form)
+    # computeFreeTuple (Algorithms 4 and 5, iterative form, Ideas 5 and 6)
     # ------------------------------------------------------------------
     def compute_free_tuple(self) -> bool:
         """Advance the frontier to the next free tuple.
@@ -198,153 +211,157 @@ class ConstraintTree:
         ``self.frontier``); ``False`` when every tuple at or after the old
         frontier is covered by stored constraints, i.e. the search is done.
         """
-        width = self.width
+        last = self.width - 1
+        statistics = self.statistics
+        caching = self.enable_interval_caching
+        use_complete = self.enable_complete_nodes
         t = list(self.frontier)
-        # generalization_stack[d] holds every CDS node at depth d whose
-        # pattern generalizes (t_0, ..., t_{d-1}).
-        generalization_stack: List[List[CDSNode]] = [[self.root]]
+        # stack[d] holds every CDS node at depth d whose pattern
+        # generalizes (t_0, ..., t_{d-1}).
+        stack: List[List[CDSNode]] = [[self.root]]
         depth = 0
         while True:
-            constrainers = [
-                node for node in generalization_stack[depth] if node.intervals
-            ]
-            start = t[depth]
-            value, blanket = self._get_free_value(start, constrainers)
-            if value == POS_INF:
-                if blanket is not None and not self._truncate(blanket):
-                    return False
-                # Backtrack: every value >= start at this level is ruled out
-                # for the current prefix.  When the whole level is dead
-                # (start == -1), bumping the immediately previous coordinate
-                # can loop forever if that coordinate does not even occur in
-                # the exhausting constraints; jump instead to the deepest
-                # coordinate the constrainers actually mention.
-                if start <= -1:
-                    relevant = -1
+            nodes = stack[depth]
+            start = value = t[depth]
+            if len(nodes) == 1:
+                constrainers: Sequence[CDSNode] = nodes if nodes[0].lows else ()
+            else:
+                constrainers = [node for node in nodes if node.lows]
+            if constrainers:
+                # getFreeValue (Algorithm 5): the smallest value >= start no
+                # constrainer covers.  First find the chain's bottom.
+                bottom: Optional[CDSNode] = constrainers[0]
+                mentioned = bottom.mask
+                if len(constrainers) > 1:
                     for node in constrainers:
-                        if node.exact_positions:
-                            relevant = max(relevant, max(node.exact_positions))
-                    target = relevant
+                        mentioned |= node.mask
+                        if node.exact_count > bottom.exact_count:
+                            bottom = node
+                    if mentioned != bottom.mask:
+                        bottom = None
+                blanket: Optional[CDSNode] = None
+                exhausted = False
+                if use_complete and bottom is not None and bottom.complete:
+                    # Idea 6: seed the search with the complete bottom's
+                    # consolidated view.  A bottom covering the whole
+                    # suffix is decisive; a value it deems free is still
+                    # checked against the rest of the chain below, since
+                    # other nodes may hold constraints inserted after the
+                    # bottom became complete (always the case when interval
+                    # caching is off).
+                    statistics.complete_node_hits += 1
+                    lows = bottom.lows
+                    index = bisect_right(lows, value) - 1
+                    if index >= 0 and lows[index] < value < bottom.highs[index]:
+                        value = bottom.highs[index]
+                    if value == POS_INF:
+                        exhausted = True
+                        if bottom.intervals.has_no_free_value():
+                            blanket = bottom
+                if exhausted:
+                    pass
+                elif len(constrainers) == 1:
+                    # One list: its intervals are disjoint, so the upper
+                    # end of the interval holding the value is free, and
+                    # the ping-pong's second round only confirms it.
+                    statistics.ping_pong_rounds += 1
+                    lows = bottom.lows
+                    index = bisect_right(lows, value) - 1
+                    if index >= 0 and lows[index] < value < bottom.highs[index]:
+                        value = bottom.highs[index]
+                        if value == POS_INF:
+                            exhausted = True
+                            blanket = self._exhaust(bottom, start, constrainers)
+                        else:
+                            statistics.ping_pong_rounds += 1
                 else:
-                    target = depth - 1
-                if target < 0:
-                    return False
-                del generalization_stack[target + 1:]
-                depth = target
-                t[depth] += 1
-                for i in range(depth + 1, width):
-                    t[i] = -1
-                continue
-            if value > t[depth]:
-                t[depth] = int(value)
-                for i in range(depth + 1, width):
-                    t[i] = -1
-            if depth == width - 1:
+                    # Ping-pong over the constrainers until a whole round
+                    # leaves the value unchanged.
+                    while not exhausted:
+                        statistics.ping_pong_rounds += 1
+                        round_start = value
+                        for node in constrainers:
+                            lows = node.lows
+                            index = bisect_right(lows, value) - 1
+                            if index >= 0 and lows[index] < value:
+                                high = node.highs[index]
+                                if value < high:
+                                    value = high
+                                    if high == POS_INF:
+                                        exhausted = True
+                                        break
+                        if value == round_start:
+                            break
+                    if exhausted:
+                        blanket = self._exhaust(bottom, start, constrainers)
+                if exhausted:
+                    if blanket is not None and not self._truncate(blanket):
+                        return False
+                    # Backtrack: every value >= start at this level is ruled
+                    # out for the current prefix.  When the whole level is
+                    # dead (start == -1), bumping the immediately previous
+                    # coordinate can loop forever if that coordinate does
+                    # not even occur in the exhausting constraints; jump
+                    # instead to the deepest coordinate the constrainers
+                    # actually mention.
+                    if start <= -1:
+                        target = mentioned.bit_length() - 1
+                    else:
+                        target = depth - 1
+                    if target < 0:
+                        return False
+                    del stack[target + 1:]
+                    depth = target
+                    t[depth] += 1
+                    t[depth + 1:] = [-1] * (last - depth)
+                    continue
+                if value > start:
+                    if caching and bottom is not None:
+                        # Idea 5: cache the whole skipped range in the bottom
+                        # node so the next visit of this chain does not
+                        # repeat the ping-pong.
+                        bottom.intervals.insert(start - 1, value)
+                        statistics.cache_intervals_inserted += 1
+                    t[depth] = int(value)
+                    t[depth + 1:] = [-1] * (last - depth)
+            if depth == last:
                 self.frontier = t
-                self.statistics.free_tuples_returned += 1
+                statistics.free_tuples_returned += 1
                 return True
             # Descend: children reachable via the concrete value or a wildcard.
-            next_nodes: List[CDSNode] = []
-            for node in generalization_stack[depth]:
-                child = node.children.get(t[depth])
-                if child is not None:
-                    next_nodes.append(child)
-                child = node.children.get(WILDCARD)
-                if child is not None:
-                    next_nodes.append(child)
-            generalization_stack.append(next_nodes)
+            key = t[depth]
+            below: List[CDSNode] = []
+            for node in nodes:
+                children = node.children
+                if children:
+                    child = children.get(key)
+                    if child is not None:
+                        below.append(child)
+                    child = children.get(WILDCARD)
+                    if child is not None:
+                        below.append(child)
+            stack.append(below)
             depth += 1
 
-    # ------------------------------------------------------------------
-    # getFreeValue (Algorithm 5) with Ideas 5 and 6
-    # ------------------------------------------------------------------
-    def _get_free_value(self, start: int,
-                        nodes: List[CDSNode]) -> Tuple[Number, Optional[CDSNode]]:
-        """Smallest value ``>= start`` not covered by any node in ``nodes``.
+    def _exhaust(self, bottom: Optional[CDSNode], start: int,
+                 constrainers: Sequence[CDSNode]) -> Optional[CDSNode]:
+        """Record that the constrainers cover every value ``>= start``.
 
-        Returns ``(value, blanket)`` where ``blanket`` is a node whose
-        intervals cover the whole line, if one exists (the caller then
-        truncates the CDS, Algorithm 6).
+        Idea 5 caches the exhaustion in the chain's bottom and Idea 6
+        counts it there.  Returns a constrainer whose intervals cover the
+        whole line (the caller truncates it, Algorithm 6), or ``None``.
         """
-        if not nodes:
-            return start, None
-        bottom = self._bottom_of_chain(nodes)
-
-        value: Number = start
-        if (
-            self.enable_complete_nodes
-            and bottom is not None
-            and bottom.complete
-        ):
-            # Idea 6: the bottom node has absorbed the chain's discoveries;
-            # seed the search with its consolidated view.  Its intervals are
-            # genuine gap knowledge, so a bottom covering the whole suffix
-            # is decisive.  A value it deems free, however, must still be
-            # checked against the rest of the chain below: other nodes may
-            # hold constraints inserted after the bottom became complete
-            # (always the case when interval caching is off), and trusting
-            # the bottom alone would report a covered tuple as free — the
-            # engine would then rediscover the same gap forever.  When the
-            # bottom really has seen everything the check is a single
-            # ping-pong round.
-            self.statistics.complete_node_hits += 1
-            value = bottom.intervals.next_free(start)
-            if value == POS_INF:
-                blanket = bottom if bottom.intervals.has_no_free_value() else None
-                return POS_INF, blanket
-
-        while True:
-            self.statistics.ping_pong_rounds += 1
-            round_start = value
-            for node in nodes:
-                value = node.intervals.next_free(value)
-                if value == POS_INF:
-                    self._record_exhaustion(bottom, start)
-                    blanket = next(
-                        (n for n in nodes if n.intervals.has_no_free_value()), None
-                    )
-                    return POS_INF, blanket
-            if value == round_start:
-                break
-        if (
-            self.enable_interval_caching
-            and bottom is not None
-            and not interval_is_empty(start - 1, value)
-        ):
-            # Idea 5: cache the whole skipped range in the bottom node so the
-            # next visit of this chain does not repeat the ping-pong.
-            bottom.intervals.insert(start - 1, value)
-            self.statistics.cache_intervals_inserted += 1
-        return value, None
-
-    def _record_exhaustion(self, bottom: Optional[CDSNode], start: int) -> None:
-        """Bookkeeping for Idea 6: cache the exhaustion and count it."""
-        if bottom is None:
-            return
-        if self.enable_interval_caching:
-            bottom.intervals.insert(start - 1, POS_INF)
-            self.statistics.cache_intervals_inserted += 1
-        bottom.exhaust_count += 1
-        if self.enable_complete_nodes and bottom.exhaust_count >= 2:
-            bottom.complete = True
-
-    @staticmethod
-    def _bottom_of_chain(nodes: List[CDSNode]) -> Optional[CDSNode]:
-        """The unique most-specialized node, or ``None`` if no chain exists.
-
-        All nodes generalize the same prefix, so node A specializes node B
-        exactly when A's exact-position set contains B's.  The bottom exists
-        iff one node's exact positions contain every other node's — which is
-        guaranteed for β-acyclic queries under a NEO (Proposition 4.2) and
-        checked dynamically otherwise.
-        """
-        if len(nodes) == 1:
-            return nodes[0]
-        bottom = max(nodes, key=lambda node: len(node.exact_positions))
-        for node in nodes:
-            if not node.exact_positions <= bottom.exact_positions:
-                return None
-        return bottom
+        if bottom is not None:
+            if self.enable_interval_caching:
+                bottom.intervals.insert(start - 1, POS_INF)
+                self.statistics.cache_intervals_inserted += 1
+            bottom.exhaust_count += 1
+            if self.enable_complete_nodes and bottom.exhaust_count >= 2:
+                bottom.complete = True
+        for node in constrainers:
+            if node.intervals.has_no_free_value():
+                return node
+        return None
 
     # ------------------------------------------------------------------
     # Truncation (Algorithm 6)

@@ -55,12 +55,17 @@ class Constraint:
             raise ExecutionError(
                 f"interval position {self.interval_position} outside 0..{self.width - 1}"
             )
-        positions = [position for position, _ in self.prefix]
-        if positions != sorted(positions):
-            raise ExecutionError("constraint prefix positions must be sorted")
-        if len(set(positions)) != len(positions):
+        # One pass: unsorted positions are reported before repeated ones.
+        previous: Number = NEG_INF
+        repeated = False
+        for position, _ in self.prefix:
+            if position < previous:
+                raise ExecutionError("constraint prefix positions must be sorted")
+            repeated = repeated or position == previous
+            previous = position
+        if repeated:
             raise ExecutionError("constraint prefix positions must be distinct")
-        if any(position >= self.interval_position for position in positions):
+        if previous >= self.interval_position:
             raise ExecutionError(
                 "constraint prefix positions must precede the interval position"
             )
@@ -141,12 +146,13 @@ def constraint_from_gap(width: int,
                         exact_positions: Sequence[int],
                         exact_values: Sequence[int],
                         interval_position: int,
-                        low: Optional[int],
-                        high: Optional[int],
+                        low: Optional[Number],
+                        high: Optional[Number],
                         source: str = "") -> Constraint:
     """Build a constraint from a trie probe result.
 
-    ``low`` / ``high`` of ``None`` mean unbounded below / above.
+    ``low`` / ``high`` of ``None`` (or ``NEG_INF`` / ``POS_INF``) mean
+    unbounded below / above.
     """
     return Constraint(
         width=width,

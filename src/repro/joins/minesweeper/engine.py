@@ -22,6 +22,7 @@ Every optimisation from §4 can be switched off independently through
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -52,6 +53,9 @@ from repro.util import TimeBudget
 
 
 _FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+# A filter probe holds iff ``_OPERATORS[op](bound, value_at_high_position)``.
+_OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
 
 
 @dataclass(frozen=True)
@@ -311,6 +315,20 @@ class MinesweeperJoin(JoinAlgorithm):
     # ------------------------------------------------------------------
     def enumerate_bindings(self, database: Database,
                            query: ConjunctiveQuery) -> Iterator[Binding]:
+        yield from self._search(database, query, as_bindings=True)
+
+    def count(self, database: Database, query: ConjunctiveQuery) -> int:
+        total = 0
+        for _ in self._search(database, query, as_bindings=False):
+            total += 1
+        return total
+
+    def _search(self, database: Database, query: ConjunctiveQuery,
+                as_bindings: bool) -> Iterator:
+        """Every output, as a binding or (``as_bindings=False``) as its
+        GAO-ordered value list.  ``last_statistics`` names this run's
+        statistics before the first output, so a consumer that stops early
+        still reads its own run's counters."""
         self._check_supported(query)
         if not query.variables:
             # A zero-width CDS does not exist: the answer is one empty
@@ -319,21 +337,15 @@ class MinesweeperJoin(JoinAlgorithm):
             self.last_statistics = MinesweeperStatistics(num_atoms=len(query.atoms))
             if all(len(resolve_atom_relation(database, atom))
                    for atom in query.atoms):
-                yield {}
+                yield {} if as_bindings else []
             return
         try:
             runner = _MinesweeperRun(self, database, query)
         except _EmptyGroundAtom:
             self.last_statistics = MinesweeperStatistics()
             return
-        yield from runner.run()
         self.last_statistics = runner.statistics
-
-    def count(self, database: Database, query: ConjunctiveQuery) -> int:
-        total = 0
-        for _ in self.enumerate_bindings(database, query):
-            total += 1
-        return total
+        yield from runner.run(as_bindings)
 
 
 class _EmptyGroundAtom(Exception):
@@ -370,58 +382,56 @@ class _MinesweeperRun:
         )
 
     # ------------------------------------------------------------------
-    def run(self) -> Iterator[Binding]:
-        budget = self.algorithm.budget
+    def run(self, as_bindings: bool = True) -> Iterator:
+        """Yield every output: a binding, or with ``as_bindings=False`` the
+        GAO-ordered value list (the frontier itself; read it, do not keep
+        or change it).  The run's counters are finished when the search
+        ends, is closed, or raises."""
+        tick = self.algorithm.budget.tick
+        sink = self.algorithm.certificate_sink
         cds = self.cds
+        insert = cds.insert_constraint
         order = self.order
         statistics = self.statistics
-        while cds.compute_free_tuple():
-            budget.tick()
-            free = list(cds.frontier)
-            statistics.free_tuples_examined += 1
-            gap_found = False
-            frontier_moved = False
-
-            sink = self.algorithm.certificate_sink
-            for prober in self.probers:
-                constraint = prober.seek_gap(free)
-                if constraint is None:
-                    continue
-                gap_found = True
-                if sink is not None:
-                    sink.append(constraint)
-                if prober.plan.in_skeleton:
-                    cds.insert_constraint(constraint)
-                    statistics.constraints_inserted += 1
-                else:
-                    moved = self._advance_past(constraint, free)
-                    if moved is None:
-                        self._finish()
-                        return
-                    frontier_moved = frontier_moved or moved
-                break
-
-            if not gap_found:
-                for probe in self.filter_probes:
-                    constraint = self._filter_gap(probe, free)
+        probers = [(prober.seek_gap, prober.plan.in_skeleton)
+                   for prober in self.probers]
+        filter_gap = self._filter_gap
+        filter_probes = self.filter_probes
+        try:
+            while cds.compute_free_tuple():
+                tick()
+                free = cds.frontier
+                statistics.free_tuples_examined += 1
+                for seek_gap, in_skeleton in probers:
+                    constraint = seek_gap(free)
                     if constraint is None:
                         continue
-                    gap_found = True
                     if sink is not None:
                         sink.append(constraint)
-                    cds.insert_constraint(constraint)
-                    statistics.constraints_inserted += 1
+                    if in_skeleton:
+                        # The constraint covers the free tuple; the next
+                        # compute_free_tuple call moves past it.
+                        insert(constraint)
+                        statistics.constraints_inserted += 1
+                    elif not self._advance_past(constraint, free):
+                        return
                     break
-
-            if not gap_found:
-                statistics.outputs += 1
-                yield {order[i]: free[i] for i in range(self.width)}
-                cds.advance_frontier_after_output()
-            elif not frontier_moved:
-                # The inserted constraint covers the free tuple; the next
-                # compute_free_tuple call will move past it.
-                pass
-        self._finish()
+                else:
+                    for probe in filter_probes:
+                        constraint = filter_gap(probe, free)
+                        if constraint is None:
+                            continue
+                        if sink is not None:
+                            sink.append(constraint)
+                        insert(constraint)
+                        statistics.constraints_inserted += 1
+                        break
+                    else:
+                        statistics.outputs += 1
+                        yield dict(zip(order, free)) if as_bindings else free
+                        cds.advance_frontier_after_output()
+        finally:
+            self._finish()
 
     def _finish(self) -> None:
         self.statistics.probe_statistics = [
@@ -442,15 +452,15 @@ class _MinesweeperRun:
 
     # ------------------------------------------------------------------
     def _advance_past(self, constraint: Constraint,
-                      free: Sequence[int]) -> Optional[bool]:
+                      free: Sequence[int]) -> bool:
         """Advance the frontier past a non-skeleton gap (Idea 7).
 
-        Returns ``True`` when the frontier moved, ``None`` when the rest of
-        the output space is dead (the caller should stop).
+        Returns ``False`` when the rest of the output space is dead (the
+        caller should stop).
         """
         successor = constraint.advance_frontier_past(free)
         if successor is None:
-            return None
+            return False
         self.cds.set_frontier(successor)
         self.statistics.frontier_advances += 1
         return True
@@ -458,9 +468,7 @@ class _MinesweeperRun:
     def _filter_gap(self, probe: _FilterProbe,
                     free: Sequence[int]) -> Optional[Constraint]:
         """A gap box covering ``free`` when it violates ``probe.filter``."""
-        binding = {self.order[i]: free[i] for i in range(self.width)}
-        if probe.filter.evaluate(binding):
-            return None
+        value = free[probe.high_position]
         if probe.low_position is not None:
             bound = free[probe.low_position]
             prefix = ((probe.low_position, bound),) \
@@ -468,8 +476,9 @@ class _MinesweeperRun:
         else:
             bound = probe.low_constant  # type: ignore[assignment]
             prefix = ()
+        if _OPERATORS[probe.op](bound, value):
+            return None
         intervals = excluded_intervals(probe.op, int(bound))
-        value = free[probe.high_position]
         for low, high in intervals:
             if low < value < high:
                 return Constraint(

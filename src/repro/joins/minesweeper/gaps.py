@@ -12,17 +12,27 @@ whose prefix is present but whose extended prefix is not, and report the
 Idea 4 avoids repeated probes: gaps already reported by a relation and
 projections already confirmed present are remembered, so the (conceptually
 expensive, index-walking) ``seek_glb`` / ``seek_lub`` operations are only
-issued when the cache cannot answer.
+issued when the cache cannot answer.  The walk grows the prefix as a tuple,
+one level at a time, and that tuple is both the gap cache's key and the
+prefix handed to :meth:`~repro.storage.trie.TrieIndex.gap_around`, whose
+prefix-range memo it hits.  The gaps known below one prefix live in an
+:class:`~repro.joins.minesweeper.intervals.IntervalList`, so a cached gap
+is found with one bisect (:meth:`IntervalList.containing`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.datalog.terms import Variable
 from repro.joins.minesweeper.constraints import Constraint, constraint_from_gap
-from repro.joins.minesweeper.intervals import IntervalList
+from repro.joins.minesweeper.intervals import (
+    NEG_INF,
+    POS_INF,
+    IntervalList,
+    Number,
+)
 from repro.storage.trie import TrieIndex
 
 
@@ -63,10 +73,14 @@ class GapProber:
         self.width = width
         self.enable_cache = enable_cache
         self.statistics = ProbeStatistics()
-        # Projections confirmed to be present in the relation (full length).
-        self._present: Set[Tuple[int, ...]] = set()
-        # Known gap intervals keyed by (level, prefix projection).
-        self._gap_cache: Dict[Tuple[int, Tuple[int, ...]], IntervalList] = {}
+        # Projections confirmed to be present in the relation, as read by
+        # ``_project`` (a bare value when the atom has one variable).
+        self._project = itemgetter(*plan.gao_positions)
+        self._present: Set[object] = set()
+        # Known gap intervals keyed by the prefix projection they lie below
+        # (its length is the trie level).
+        self._gap_cache: Dict[Tuple[int, ...], IntervalList] = {}
+        self._source = f"{plan.atom_name}#{plan.atom_index}"
 
     # ------------------------------------------------------------------
     # Probing
@@ -77,67 +91,52 @@ class GapProber:
         ``None`` means the projection is present in the relation, i.e. this
         atom does not rule the free tuple out.
         """
-        self.statistics.probes_issued += 1
-        plan = self.plan
-        projection = tuple(point[p] for p in plan.gao_positions)
-
-        if self.enable_cache and projection in self._present:
-            self.statistics.cache_hits_present += 1
+        statistics = self.statistics
+        statistics.probes_issued += 1
+        cache = self._gap_cache if self.enable_cache else None
+        if cache is not None and self._project(point) in self._present:
+            statistics.cache_hits_present += 1
             return None
 
-        prefix: List[int] = []
-        for level, position in enumerate(plan.gao_positions):
-            value = projection[level]
-            cached = self._cached_gap(level, tuple(prefix), value)
-            if cached is not None:
-                self.statistics.cache_hits_gap += 1
-                self.statistics.gaps_found += 1
-                low, high = cached
-                return self._make_constraint(level, prefix, low, high)
-            self.statistics.index_seeks += 1
-            glb, present, lub = plan.index.gap_around(prefix, value)
+        gap_around = self.plan.index.gap_around
+        prefix: Tuple[int, ...] = ()
+        for level, position in enumerate(self.plan.gao_positions):
+            value = point[position]
+            intervals = cache.get(prefix) if cache is not None else None
+            if intervals is not None:
+                known = intervals.containing(value)
+                if known is not None:
+                    statistics.cache_hits_gap += 1
+                    statistics.gaps_found += 1
+                    return self._make_constraint(level, prefix, *known)
+            statistics.index_seeks += 1
+            glb, present, lub = gap_around(prefix, value)
             if present:
-                prefix.append(value)
+                prefix += (value,)
                 continue
-            self.statistics.gaps_found += 1
-            if self.enable_cache:
-                interval_list = self._gap_cache.setdefault(
-                    (level, tuple(prefix)), IntervalList()
-                )
-                interval_list.insert(
-                    glb if glb is not None else float("-inf"),
-                    lub if lub is not None else float("inf"),
-                )
+            statistics.gaps_found += 1
+            if cache is not None:
+                if intervals is None:
+                    intervals = cache[prefix] = IntervalList()
+                intervals.insert(NEG_INF if glb is None else glb,
+                                 POS_INF if lub is None else lub)
             return self._make_constraint(level, prefix, glb, lub)
 
-        if self.enable_cache:
-            self._present.add(projection)
+        if cache is not None:
+            self._present.add(self._project(point))
         return None
 
-    def _cached_gap(self, level: int, prefix: Tuple[int, ...],
-                    value: int) -> Optional[Tuple[float, float]]:
-        """Look up a previously discovered gap covering ``value``."""
-        if not self.enable_cache:
-            return None
-        interval_list = self._gap_cache.get((level, prefix))
-        if interval_list is None or not interval_list.covers(value):
-            return None
-        for low, high in interval_list:
-            if low < value < high:
-                return low, high
-        return None
-
-    def _make_constraint(self, level: int, prefix: Sequence[int],
-                         low, high) -> Constraint:
-        plan = self.plan
+    def _make_constraint(self, level: int, prefix: Tuple[int, ...],
+                         low: Optional[Number], high: Optional[Number]) -> Constraint:
+        positions = self.plan.gao_positions
         return constraint_from_gap(
             width=self.width,
-            exact_positions=plan.gao_positions[:level],
-            exact_values=list(prefix),
-            interval_position=plan.gao_positions[level],
-            low=None if low in (None, float("-inf")) else int(low),
-            high=None if high in (None, float("inf")) else int(high),
-            source=f"{plan.atom_name}#{plan.atom_index}",
+            exact_positions=positions[:level],
+            exact_values=prefix,
+            interval_position=positions[level],
+            low=low,
+            high=high,
+            source=self._source,
         )
 
 

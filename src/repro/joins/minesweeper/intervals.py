@@ -5,15 +5,23 @@ Each CDS node keeps a set of disjoint *open* intervals over the integers
 matter are inserting an interval (merging overlaps) and ``next_free(x)``:
 the smallest value ``>= x`` not strictly inside any stored interval.  The
 paper implements the node's interval set and child map as a single sorted
-"point list"; here the intervals live in a plain sorted list — the child
-pruning benefit of the point list is realised separately by the CDS when an
-inserted interval swallows child labels.
+"point list"; here the intervals live in two parallel sorted lists of lower
+and upper endpoints — the child pruning benefit of the point list is
+realised separately by the CDS when an inserted interval swallows child
+labels.
+
+Both lists are exposed read-only as :attr:`IntervalList.lows` and
+:attr:`IntervalList.highs`.  They stay the same list objects for the
+list's lifetime (every mutation is in place), so a hot loop may bind them
+once and answer ``next_free`` with one inlined ``bisect_right``, as the
+CDS walk does.  The gap prober's cache (Idea 4) answers a probe with
+:meth:`IntervalList.containing`, also one bisect.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Iterator, List, Tuple, Union
+from bisect import bisect_left, bisect_right
+from typing import Iterator, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -55,6 +63,17 @@ class IntervalList:
     def __iter__(self) -> Iterator[Tuple[Number, Number]]:
         return iter(zip(self._lows, self._highs))
 
+    @property
+    def lows(self) -> List[Number]:
+        """The lower endpoints, ascending (live and read-only; see the
+        module docstring)."""
+        return self._lows
+
+    @property
+    def highs(self) -> List[Number]:
+        """The upper endpoints, ascending, paired with :attr:`lows`."""
+        return self._highs
+
     def intervals(self) -> List[Tuple[Number, Number]]:
         """The stored intervals as (low, high) pairs, sorted by low."""
         return list(zip(self._lows, self._highs))
@@ -68,10 +87,14 @@ class IntervalList:
     # ------------------------------------------------------------------
     def covers(self, value: Number) -> bool:
         """True when ``value`` lies strictly inside some stored interval."""
+        return self.containing(value) is not None
+
+    def containing(self, value: Number) -> Optional[Tuple[Number, Number]]:
+        """The stored interval strictly containing ``value``, or ``None``."""
         index = bisect_right(self._lows, value) - 1
-        if index < 0:
-            return False
-        return self._lows[index] < value < self._highs[index]
+        if index >= 0 and self._lows[index] < value < self._highs[index]:
+            return self._lows[index], self._highs[index]
+        return None
 
     def next_free(self, value: Number) -> Number:
         """Smallest ``y >= value`` not strictly inside any stored interval.
@@ -119,23 +142,20 @@ class IntervalList:
         """
         if interval_is_empty(low, high):
             return low, high
-        # Find all stored intervals overlapping (low, high): interval i
-        # overlaps iff lows[i] < high and highs[i] > low.
-        start = bisect_right(self._highs, low)
-        # self._highs is sorted because intervals are disjoint and sorted by
-        # low; the first interval that could overlap has high > low.
-        end = start
-        new_low, new_high = low, high
-        while end < len(self._lows) and self._lows[end] < high:
-            new_low = min(new_low, self._lows[end])
-            new_high = max(new_high, self._highs[end])
-            end += 1
+        lows, highs = self._lows, self._highs
+        # The stored intervals overlapping (low, high) are the run with
+        # highs[i] > low and lows[i] < high; both lists are sorted because
+        # the intervals are disjoint and sorted by low.
+        start = bisect_right(highs, low)
+        end = bisect_left(lows, high, start)
         if start == end:
-            self._lows.insert(start, low)
-            self._highs.insert(start, high)
+            lows.insert(start, low)
+            highs.insert(start, high)
             return low, high
-        self._lows[start:end] = [new_low]
-        self._highs[start:end] = [new_high]
+        new_low = min(low, lows[start])
+        new_high = max(high, highs[end - 1])
+        lows[start:end] = [new_low]
+        highs[start:end] = [new_high]
         return new_low, new_high
 
     def insert_many(self, intervals: List[Tuple[Number, Number]]) -> None:

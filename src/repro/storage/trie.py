@@ -19,12 +19,14 @@ costs nothing to build: a :class:`~repro.storage.relation.Relation` keeps its
 tuples sorted and unique and never mutates them after construction, and
 neither does the index.  Any other order sorts one permuted copy.
 
-:meth:`TrieIndex.seek_value` memoises prefix ranges per index: the first
-seek below a prefix finds the prefix's tuple range ``[lo, hi)`` with two
-binary searches and records it, and every later seek below the same prefix
-is one dictionary lookup plus one binary search inside ``[lo, hi)``.  Leapfrog
-Triejoin seeks many times below the same prefix while it intersects one
-attribute, so this is where its time goes.  The memo holds only immutable
+:meth:`TrieIndex.seek_value` and :meth:`TrieIndex.gap_around` memoise
+prefix ranges per index: the first probe below a prefix finds the prefix's
+tuple range ``[lo, hi)`` with two binary searches and records it, and every
+later probe below the same prefix is one dictionary lookup plus a binary
+search inside ``[lo, hi)`` on that level's column.  Leapfrog Triejoin seeks
+many times below the same prefix while it intersects one attribute, and
+Minesweeper probes the same prefixes free tuple after free tuple, so this is
+where their time goes.  The memo holds only immutable
 ``(lo, hi)`` pairs, written idempotently (two threads racing on one prefix
 write the same pair), never a mutable cursor: an index shared through
 :meth:`repro.storage.database.Database.index` is read by concurrent queries,
@@ -35,7 +37,7 @@ bounded by the number of distinct prefixes of the index.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -206,30 +208,33 @@ class TrieIndex:
         is indexed under the prefix, and ``lub`` is the least indexed value
         strictly above ``value`` (or ``None`` meaning +infinity).  This is the
         pair of ``seek_glb`` / ``seek_lub`` probes from Idea 4, fused so a
-        single binary search serves both.
+        single binary search serves both (a second one finds ``lub`` when
+        ``value`` is present).  The prefix's tuple range comes from the
+        memo :meth:`seek_value` uses, so a probe below a known prefix costs
+        one dictionary lookup before the searches.
         """
-        depth = len(prefix)
-        if depth >= self.arity:
-            raise StorageError("gap_around cannot be asked below the last level")
-        lower, upper = self.prefix_range(prefix)
-        if lower >= upper:
-            return None, False, None
-        position = bisect_left(self._tuples, tuple(prefix) + (value,), lower, upper)
-        present = position < upper and self._tuples[position][depth] == value
-        glb: Optional[int] = None
-        if position > lower:
-            glb = self._tuples[position - 1][depth]
-        lub: Optional[int] = None
-        if present:
-            lub_position = bisect_left(
-                self._tuples, tuple(prefix) + (value + 1,), position, upper
-            )
-            if lub_position < upper:
-                lub = self._tuples[lub_position][depth]
-        else:
-            if position < upper:
-                lub = self._tuples[position][depth]
-        return glb, present, lub
+        if type(prefix) is not tuple:
+            prefix = tuple(prefix)
+        bounds = self._ranges.get(prefix)
+        if bounds is None:
+            if len(prefix) >= self.arity:
+                raise StorageError("gap_around cannot be asked below the last level")
+            bounds = self.prefix_range(prefix)
+            if bounds[0] >= bounds[1]:
+                return None, False, None
+            self._ranges[prefix] = bounds
+        lower, upper = bounds
+        tuples = self._tuples
+        column = self._columns[len(prefix)]
+        position = bisect_left(tuples, value, lower, upper, key=column)
+        glb = column(tuples[position - 1]) if position > lower else None
+        if position >= upper:
+            return glb, False, None
+        found = column(tuples[position])
+        if found != value:
+            return glb, False, found
+        position = bisect_right(tuples, value, position, upper, key=column)
+        return glb, True, column(tuples[position]) if position < upper else None
 
     # ------------------------------------------------------------------
     # Iterators

@@ -1,6 +1,10 @@
 """Tests for the Constraint Data Structure (CDS) and computeFreeTuple."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.joins.minesweeper.cds import ConstraintTree
@@ -183,3 +187,81 @@ class TestIdeaSwitches:
         cds = ConstraintTree(3)
         with pytest.raises(ExecutionError):
             cds.covers((1, 2))
+
+
+# ----------------------------------------------------------------------
+# compute_free_tuple against a brute-force search
+# ----------------------------------------------------------------------
+_TOP = 6
+"""Largest finite endpoint or exact value a generated box uses."""
+
+
+@st.composite
+def _boxes(draw, width):
+    position = draw(st.integers(0, width - 1))
+    prefix = tuple(
+        (p, draw(st.integers(-1, _TOP))) for p in range(position)
+        if draw(st.booleans())
+    )
+    low = draw(st.one_of(st.just(NEG_INF), st.integers(-1, _TOP - 1)))
+    high = draw(st.one_of(
+        st.just(POS_INF),
+        st.integers(-1, _TOP).filter(lambda value: value > low)))
+    return constraint(width, prefix, position, low, high)
+
+
+@st.composite
+def _scripts(draw):
+    """A width plus steps: insert a box, move the frontier, or step past
+    the last free tuple as the engine does after an output."""
+    width = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-1, _TOP), min_size=width, max_size=width)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("insert"), _boxes(width)),
+        st.tuples(st.just("move"), point),
+        st.tuples(st.just("step"), st.none()),
+    ), min_size=1, max_size=25))
+    return width, steps
+
+
+def _smallest_free(boxes, frontier):
+    """The lexicographically smallest point >= ``frontier`` outside every
+    box, searched over ``[-1, top]`` per coordinate, or ``None``.
+
+    A coordinate above every finite endpoint, exact value and frontier
+    value is covered exactly like ``top``, so the search range loses no
+    answer."""
+    top = max([_TOP] + list(frontier)) + 1
+    for point in product(range(-1, top + 1), repeat=len(frontier)):
+        if list(point) >= list(frontier) and \
+                not any(box.excludes(point) for box in boxes):
+            return list(point)
+    return None
+
+
+@pytest.mark.parametrize("caching", [True, False], ids=["cache", "no-cache"])
+@pytest.mark.parametrize("complete", [True, False],
+                         ids=["complete", "no-complete"])
+@settings(max_examples=150, deadline=None)
+@given(script=_scripts())
+def test_compute_free_tuple_matches_brute_force(caching, complete, script):
+    width, steps = script
+    cds = ConstraintTree(width, enable_interval_caching=caching,
+                         enable_complete_nodes=complete)
+    boxes = []
+    for kind, argument in steps:
+        if kind == "insert":
+            cds.insert_constraint(argument)
+            boxes.append(argument)
+        elif kind == "move":
+            cds.set_frontier(max(argument, cds.frontier))
+        else:
+            cds.advance_frontier_after_output()
+        start = list(cds.frontier)
+        expected = _smallest_free(boxes, start)
+        found = cds.compute_free_tuple()
+        if expected is None:
+            assert found is False, (start, cds.frontier)
+            return
+        assert found is True, (start, expected)
+        assert cds.frontier == expected, (start, expected)

@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TimeoutExceeded
+from repro.data.generators import powerlaw_cluster_graph
 from repro.datalog.hypergraph import Hypergraph
 from repro.datalog.parser import parse_query
+from repro.joins.minesweeper.cds import ConstraintTree
 from repro.joins.minesweeper.engine import MinesweeperJoin, MinesweeperOptions
 from repro.joins.naive import NaiveBacktrackingJoin
 from repro.queries.patterns import build_query
+from repro.obs.metrics import isolated_registry
 from repro.storage import Database, Relation, edge_relation_from_pairs, node_relation
+from repro.util import TimeBudget
 
 from tests.conftest import graph_database
 
@@ -165,3 +169,131 @@ class TestSkeleton:
         assert stats.free_tuples_examined > 0
         assert len(stats.probe_statistics) == 3
         assert all(entry["probes"] > 0 for entry in stats.probe_statistics)
+
+
+@pytest.fixture(scope="module")
+def pin_db():
+    """The graph the leapfrog seek counts are pinned on, plus two fixed
+    endpoint samples for 3-path."""
+    return Database([
+        edge_relation_from_pairs(powerlaw_cluster_graph(400, 5, 0.6, seed=17)),
+        node_relation(range(0, 400, 7), "v1"),
+        node_relation(range(3, 400, 11), "v2"),
+    ])
+
+
+# Per atom: probes, index_seeks, cache_hits_present, cache_hits_gap,
+# gaps_found.
+_ATOM_KEYS = ("probes", "index_seeks", "cache_hits_present", "cache_hits_gap",
+              "gaps_found")
+_CDS_KEYS = ("ping_pong_rounds", "cache_intervals_inserted",
+             "complete_node_hits", "truncations", "nodes_created")
+
+# (pattern, options) -> (outputs, free_tuples_examined, constraints_inserted,
+# frontier_advances, per-atom counters, CDS counters in _CDS_KEYS order).
+_SIGNATURES = {
+    ("3-clique", "default"): (
+        1374, 15364, 5703, 8287,
+        [(15364, 9890, 10418, 0, 2645), (12719, 9732, 7853, 0, 2530),
+         (10189, 14275, 379, 5345, 8287)],
+        (64497, 4975, 63, 1, 1184)),
+    ("3-clique", "baseline"): (
+        1374, 8971, 7597, 0,
+        [(8971, 17940, 0, 0, 2096), (6875, 13750, 0, 0, 2031),
+         (4844, 9688, 0, 0, 2942)],
+        (80219, 0, 0, 10989, 1179)),
+    ("4-cycle", "default"): (
+        3170, 39329, 8877, 27282,
+        [(39329, 8394, 35131, 0, 2518), (36811, 8804, 32409, 0, 2509),
+         (34302, 10214, 29195, 0, 2661), (31641, 31971, 3132, 25047, 27282)],
+        (176519, 48042, 57249, 511, 1202)),
+    ("4-cycle", "baseline"): (
+        3170, 13961, 10791, 0,
+        [(13961, 27920, 0, 0, 2327), (11634, 23268, 0, 0, 2468),
+         (9166, 18332, 0, 0, 2572), (6594, 13188, 0, 0, 2235)],
+        (281199, 0, 0, 320, 1948)),
+    ("3-path", "default"): (
+        18675, 25924, 7249, 0,
+        [(25924, 117, 25807, 0, 59), (25865, 75, 25790, 0, 38),
+         (25827, 2534, 24560, 0, 633), (25194, 11626, 19381, 0, 3256),
+         (21938, 7380, 18248, 0, 3263)],
+        (126901, 36834, 43607, 114, 756)),
+    ("3-path", "baseline"): (
+        18675, 25924, 7249, 0,
+        [(25924, 25924, 0, 0, 59), (25865, 25865, 0, 0, 38),
+         (25827, 51654, 0, 0, 633), (25194, 50388, 0, 0, 3256),
+         (21938, 43876, 0, 0, 3263)],
+        (290792, 0, 0, 0, 756)),
+}
+
+
+class TestWorkSignature:
+    """Minesweeper's work, counter by counter, in the style of
+    ``TestSeekCount``: a faster CDS walk or gap probe must make the same
+    free tuples, probes, gap boxes and CDS decisions.  The values were
+    pinned from the implementation before the CDS walk and the gap probes
+    were rewritten; a change that alters the search on purpose re-pins
+    them from its parent and says why."""
+
+    @pytest.mark.parametrize("path", ["count", "enumerate_bindings"])
+    @pytest.mark.parametrize("pattern_name, options_name", sorted(_SIGNATURES))
+    def test_work_signature_is_pinned(self, monkeypatch, pin_db, path,
+                                      pattern_name, options_name):
+        trees = []
+        original = ConstraintTree.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            trees.append(self)
+        monkeypatch.setattr(ConstraintTree, "__init__", recording)
+        options = MinesweeperOptions() if options_name == "default" \
+            else MinesweeperOptions.baseline()
+        algorithm = MinesweeperJoin(options=options)
+        query = build_query(pattern_name)
+        if path == "count":
+            rows = algorithm.count(pin_db, query)
+        else:
+            rows = sum(1 for _ in algorithm.enumerate_bindings(pin_db, query))
+        outputs, free, constraints, advances, atoms, cds = \
+            _SIGNATURES[pattern_name, options_name]
+        stats = algorithm.last_statistics
+        assert rows == stats.outputs == outputs
+        assert stats.free_tuples_examined == free
+        assert stats.constraints_inserted == constraints
+        assert stats.frontier_advances == advances
+        assert [tuple(entry[key] for key in _ATOM_KEYS)
+                for entry in stats.probe_statistics] == atoms
+        assert len(trees) == 1
+        counters = trees[0].statistics.as_dict()
+        assert tuple(counters[key] for key in _CDS_KEYS) == cds
+
+
+class TestEarlyStop:
+    def test_closed_enumeration_reports_its_own_statistics(self, pin_db):
+        """Regression: closing ``enumerate_bindings`` early left the previous
+        query's statistics in ``last_statistics`` and skipped the metrics
+        hook."""
+        algorithm = MinesweeperJoin()
+        assert algorithm.count(pin_db, build_query("3-clique")) == 1374
+        previous = algorithm.last_statistics
+        with isolated_registry() as registry:
+            rows = algorithm.enumerate_bindings(pin_db, build_query("4-cycle"))
+            for _ in range(3):
+                next(rows)
+            rows.close()
+            assert registry.counter("repro_ms_outputs_total").value() == 3
+        stats = algorithm.last_statistics
+        assert stats is not previous
+        assert stats.outputs == 3
+        assert len(stats.probe_statistics) == 4
+        assert stats.free_tuples_examined > 0
+
+    def test_budget_stop_reports_its_own_statistics(self, pin_db):
+        algorithm = MinesweeperJoin()
+        algorithm.count(pin_db, build_query("3-clique"))
+        previous = algorithm.last_statistics
+        algorithm.budget = TimeBudget(0.0, check_every=1)
+        with pytest.raises(TimeoutExceeded):
+            algorithm.count(pin_db, build_query("4-cycle"))
+        assert algorithm.last_statistics is not previous
+        assert len(algorithm.last_statistics.probe_statistics) == 4

@@ -1,9 +1,11 @@
-"""``TrieIndex`` builds and ``seek_value`` against brute-force oracles.
+"""``TrieIndex`` builds, ``seek_value`` and ``gap_around`` against
+brute-force oracles.
 
-``seek_value`` memoises each prefix's tuple range inside the index, so
-these tests seek the same prefix repeatedly, with decreasing values, with
-prefixes passed as tuples and as lists, and from several threads over one
-index shared through ``Database.index``.  Every engine reads its tries from
+``seek_value`` and ``gap_around`` share one memo of each prefix's tuple
+range inside the index, so these tests probe the same prefix repeatedly,
+with decreasing values, with prefixes passed as tuples and as lists,
+mixing both probes, and from several threads over one index shared
+through ``Database.index``.  Every engine reads its tries from
 that catalog, so the last tests run queries from two service worker threads
 over one catalog, with and without a writer replacing a relation, against
 the naive join.
@@ -39,6 +41,22 @@ def oracle(rows: Sequence[Tuple[int, ...]], column_order: Sequence[int],
         if list(reordered[:depth]) == list(prefix) and reordered[depth] >= value
     ]
     return min(found) if found else None
+
+
+def gap_oracle(rows: Sequence[Tuple[int, ...]], column_order: Sequence[int],
+               prefix: Sequence[int],
+               value: int) -> Tuple[Optional[int], bool, Optional[int]]:
+    """``(glb, present, lub)`` of ``value`` below ``prefix``, by a scan."""
+    depth = len(prefix)
+    values = {
+        reordered[depth]
+        for reordered in (tuple(row[c] for c in column_order) for row in rows)
+        if list(reordered[:depth]) == list(prefix)
+    }
+    below = [v for v in values if v < value]
+    above = [v for v in values if v > value]
+    return (max(below) if below else None, value in values,
+            min(above) if above else None)
 
 
 @st.composite
@@ -84,6 +102,40 @@ def test_seek_value_matches_linear_scan(relation, data):
                 oracle(rows, column_order, prefix, value), (prefix, value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(relation=indexed_relations(), data=st.data())
+def test_gap_around_matches_linear_scan(relation, data):
+    # Seeks and gap probes interleave on one index, so each reads prefix
+    # ranges the other memoised.
+    arity, rows, column_order = relation
+    index = TrieIndex(Relation("R", arity, rows), column_order)
+    reordered = [tuple(row[c] for c in column_order) for row in rows]
+    for _ in range(data.draw(st.integers(1, 25))):
+        depth = data.draw(st.integers(0, arity - 1))
+        present = [row[:depth] for row in reordered]
+        if present and data.draw(st.booleans()):
+            prefix = data.draw(st.sampled_from(present))
+        else:
+            prefix = tuple(data.draw(st.lists(
+                st.integers(0, 7), min_size=depth, max_size=depth)))
+        for value in data.draw(st.lists(st.integers(-1, 8), min_size=1,
+                                        max_size=5)):
+            passed = list(prefix) if data.draw(st.booleans()) else prefix
+            if data.draw(st.booleans()):
+                assert index.seek_value(passed, value) == \
+                    oracle(rows, column_order, prefix, value), (prefix, value)
+            assert index.gap_around(passed, value) == \
+                gap_oracle(rows, column_order, prefix, value), (prefix, value)
+
+
+def test_gap_around_below_last_level_rejected():
+    index = TrieIndex(Relation("R", 2, [(1, 2)]), (0, 1))
+    assert index.gap_around((1,), 2) == (None, True, None)
+    for prefix in ((1, 2), [1, 2], (5, 5)):
+        with pytest.raises(StorageError):
+            index.gap_around(prefix, 0)
+
+
 def test_seek_value_on_empty_index():
     index = TrieIndex(Relation("R", 2, []), (0, 1))
     assert index.seek_value((), 0) is None
@@ -100,10 +152,10 @@ class _YieldingInt(int):
     """An int that offers the interpreter lock to other threads whenever it
     is compared.
 
-    Seeking with these values puts thread switches inside ``seek_value``
-    itself, between its reads and writes of any state kept in the index,
-    which is where a mutable search position shared by all seeks would
-    tear.
+    Probing with these values puts thread switches inside ``seek_value``
+    and ``gap_around`` themselves, between their reads and writes of any
+    state kept in the index, which is where a mutable search position
+    shared by all probes would tear.
     """
 
     def _yield(self, other) -> Tuple[int, int]:
@@ -138,6 +190,8 @@ def test_shared_index_is_safe_across_threads():
     prefixes = [()] + [(node,) for node in range(32)]
     expected = {(prefix, value): oracle(rows, (1, 0), prefix, value)
                 for prefix in prefixes for value in range(32)}
+    gaps = {(prefix, value): gap_oracle(rows, (1, 0), prefix, value)
+            for prefix in prefixes for value in range(32)}
     failures: List[str] = []
     start = threading.Barrier(4)
 
@@ -147,10 +201,15 @@ def test_shared_index_is_safe_across_threads():
         for _ in range(3000):
             prefix = local.choice(prefixes)
             value = local.randrange(32)
-            got = index.seek_value(prefix, _YieldingInt(value))
-            if got != expected[prefix, value]:
-                failures.append(f"seek_value({prefix}, {value}) = {got}, "
-                                f"want {expected[prefix, value]}")
+            if local.random() < 0.5:
+                got = index.seek_value(prefix, _YieldingInt(value))
+                want = expected[prefix, value]
+            else:
+                got = index.gap_around(prefix, _YieldingInt(value))
+                want = gaps[prefix, value]
+            if got != want:
+                failures.append(f"probe({prefix}, {value}) = {got}, "
+                                f"want {want}")
 
     threads = [threading.Thread(target=worker, args=(seed,))
                for seed in range(4)]
