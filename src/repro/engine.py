@@ -70,7 +70,6 @@ from repro.joins.graph_engine import GraphEngine
 from repro.joins.hybrid import HybridMinesweeperLeapfrog
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.minesweeper import MinesweeperJoin, MinesweeperOptions
-from repro.joins.minesweeper.counting import SharingMinesweeperCounter
 from repro.joins.naive import NaiveBacktrackingJoin
 from repro.joins.pairwise import PairwiseHashJoin
 from repro.joins.yannakakis import YannakakisJoin
@@ -85,7 +84,7 @@ AlgorithmFactory = Callable[[Optional[TimeBudget]], JoinAlgorithm]
 # β-acyclic (a NEO); on cyclic queries the engine's skeleton logic must
 # choose the order itself.
 _GAO_DRIVEN = frozenset({"lftj", "lb/lftj", "generic"})
-_NEO_DRIVEN = frozenset({"ms", "lb/ms", "ms-count"})
+_NEO_DRIVEN = frozenset({"ms", "lb/ms"})
 
 
 @dataclass
@@ -208,7 +207,6 @@ def default_registry() -> Dict[str, AlgorithmFactory]:
         # Library-internal aliases and extras.
         "lftj": lambda budget: LeapfrogTrieJoin(budget=budget),
         "ms": lambda budget: MinesweeperJoin(budget=budget),
-        "ms-count": lambda budget: SharingMinesweeperCounter(budget=budget),
         "hybrid": lambda budget: HybridMinesweeperLeapfrog(budget=budget),
         "generic": lambda budget: GenericJoin(budget=budget),
         "pairwise": lambda budget: PairwiseHashJoin(budget=budget),

@@ -1,9 +1,10 @@
 """Join algorithms: the paper's new algorithms and every baseline.
 
-* :mod:`repro.joins.leapfrog` — Leapfrog Triejoin (worst-case optimal).
+* :mod:`repro.joins.leapfrog` — Leapfrog Triejoin (worst-case optimal); its
+  ``count`` is the factorised #Minesweeper count (Idea 8).
 * :mod:`repro.joins.generic` — Generic Join / NPRR-style hash variant.
 * :mod:`repro.joins.minesweeper` — the Minesweeper engine (CDS, gap boxes,
-  Ideas 1-8) plus #Minesweeper counting and the parallel partitioner.
+  Ideas 1-7) and the parallel partitioner.
 * :mod:`repro.joins.hybrid` — the MS-on-path / LFTJ-on-clique hybrid (§4.12).
 * :mod:`repro.joins.pairwise` + :mod:`repro.joins.optimizer` — Selinger-style
   binary-join executor (the PostgreSQL stand-in).

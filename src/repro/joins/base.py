@@ -7,7 +7,8 @@ All algorithms implement the same two entry points:
 * ``count(database, query)`` — return the number of output tuples.
 
 The default ``count`` simply drains ``enumerate_bindings``; algorithms with
-smarter counting (``#Minesweeper``, Yannakakis) override it.  Outputs are
+smarter counting (LFTJ's factorised #Minesweeper count, Yannakakis) override
+it.  Outputs are
 *set semantics* over the query's variables, matching the paper's count
 queries.
 """

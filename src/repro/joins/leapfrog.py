@@ -27,12 +27,26 @@ Comparison filters such as ``a < b < c`` are pushed into the search: a
 filter whose greater side is the current attribute tightens the lower seek
 bound, one whose lesser side is the current attribute provides an upper
 cutoff, and everything else is checked as soon as its variables are bound.
+
+``count`` is the paper's Idea 8 (#Minesweeper's factorised counting): the
+number of completions below a level depends only on the earlier positions
+that the level and the deeper ones still read (participant prefixes, checks
+and seek bounds).  Where that key is strictly shorter than the level's bound
+prefix, the subtree count is memoised on it, so a subtree is counted once
+per distinct key instead of once per prefix.  On the paper's example
+
+    R1(A,B) ⋈ R2(A,C) ⋈ R3(B,D) ⋈ R4(C) ⋈ R5(D)   (GAO = A, B, C, D)
+
+the count below ``D`` depends only on ``B``.  On a path the count below
+each level depends only on the level before it; on a clique every level
+reads the whole prefix, so nothing is memoised and the loop is the plain
+one.  The memo is a local of one ``count`` call, never shared state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError
 from repro.datalog.atoms import ComparisonAtom
@@ -68,6 +82,9 @@ class _LevelPlan:
     # Filters of the form ``var < other`` / ``var <= other`` giving upper
     # cutoffs, as (GAO position of ``other``, strict).
     upper_bounds: List[Tuple[int, bool]]
+    # ``count`` memoises the count below this level on the values at these
+    # earlier GAO positions; None when the key would be the whole prefix.
+    memo_key: Optional[Tuple[int, ...]] = None
 
 
 class LeapfrogTrieJoin(JoinAlgorithm):
@@ -164,6 +181,22 @@ class LeapfrogTrieJoin(JoinAlgorithm):
                 lower_bounds=lower_bounds,
                 upper_bounds=upper_bounds,
             ))
+
+        # The count below a level reads only the earlier positions that the
+        # level and the deeper ones read; memoise where that is a strict
+        # subset of the bound prefix.
+        reads: Set[int] = set()
+        for position in range(len(levels) - 1, 0, -1):
+            level = levels[position]
+            for _, prefix in level.participants:
+                reads.update(prefix)
+            reads.update(p for p, _ in level.lower_bounds)
+            reads.update(p for p, _ in level.upper_bounds)
+            for flt in level.checks:
+                reads.update(position_of[v] for v in flt.variables)
+            key = tuple(sorted(p for p in reads if p < position))
+            if len(key) < position:
+                level.memo_key = key
         return order, levels
 
     @staticmethod
@@ -218,7 +251,8 @@ class LeapfrogTrieJoin(JoinAlgorithm):
             return 0
         if not levels:
             return 1
-        return self._count(0, [0] * len(order), order, levels)
+        memos: List[Dict[Tuple[int, ...], int]] = [{} for _ in levels]
+        return self._count(0, [0] * len(order), order, levels, memos)
 
     # -- recursive search -------------------------------------------------
     def _candidate_values(self, level: _LevelPlan,
@@ -287,13 +321,24 @@ class LeapfrogTrieJoin(JoinAlgorithm):
                 yield from self._search(depth + 1, values, order, levels)
 
     def _count(self, depth: int, values: List[int], order: Sequence[Variable],
-               levels: List[_LevelPlan]) -> int:
-        checks = levels[depth].checks
+               levels: List[_LevelPlan],
+               memos: List[Dict[Tuple[int, ...], int]]) -> int:
+        level = levels[depth]
+        memo_key = level.memo_key
+        if memo_key is not None:
+            key = tuple([values[p] for p in memo_key])
+            cached = memos[depth].get(key)
+            if cached is not None:
+                return cached
+        checks = level.checks
         last = depth == len(order) - 1
         total = 0
-        for value in self._candidate_values(levels[depth], values):
+        for value in self._candidate_values(level, values):
             values[depth] = value
             if checks and not self._filters_hold(checks, depth, values, order):
                 continue
-            total += 1 if last else self._count(depth + 1, values, order, levels)
+            total += 1 if last else self._count(depth + 1, values, order, levels,
+                                                memos)
+        if memo_key is not None:
+            memos[depth][key] = total
         return total

@@ -11,15 +11,18 @@ The subpackage mirrors the structure of §4 of the paper:
 * :mod:`gaps` — probing trie indexes for gaps with probe caching (Idea 4),
 * :mod:`engine` — the outer loop, options, and the β-acyclic skeleton for
   cyclic queries (Idea 7),
-* :mod:`counting` — #Minesweeper-style counting (Idea 8),
 * :mod:`parallel` — the output-space partitioning of §4.10.
+
+Idea 8 (#Minesweeper's factorised counting) is not here: it is
+:meth:`repro.joins.leapfrog.LeapfrogTrieJoin.count`, which memoises the
+count below a level on the earlier attributes that deeper atoms and filters
+still read.  ``MinesweeperJoin.count`` counts the outputs it enumerates.
 """
 
 from repro.joins.minesweeper.constraints import Constraint, NEG_INF, POS_INF
 from repro.joins.minesweeper.intervals import IntervalList
 from repro.joins.minesweeper.cds import ConstraintTree
 from repro.joins.minesweeper.engine import MinesweeperJoin, MinesweeperOptions
-from repro.joins.minesweeper.counting import SharingMinesweeperCounter
 from repro.joins.minesweeper.certificate import (
     BoxCertificate,
     certificate_size,
@@ -40,7 +43,6 @@ __all__ = [
     "NEG_INF",
     "POS_INF",
     "PartitionedMinesweeper",
-    "SharingMinesweeperCounter",
     "certificate_size",
     "certified_run",
     "simulate_work_stealing",

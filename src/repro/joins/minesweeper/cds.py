@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExecutionError
 from repro.joins.minesweeper.constraints import WILDCARD, Constraint
@@ -136,11 +136,16 @@ class ConstraintTree:
     enable_complete_nodes:
         Idea 6: once a bottom node has been exhausted twice, trust its own
         interval list and skip the ping-pong entirely.
+    tick:
+        Called once per ping-pong round and once per backtrack of
+        ``compute_free_tuple``, so a time budget is checked inside one
+        long free-tuple search; ``None`` (no budget) calls nothing.
     """
 
     def __init__(self, width: int,
                  enable_interval_caching: bool = True,
-                 enable_complete_nodes: bool = True) -> None:
+                 enable_complete_nodes: bool = True,
+                 tick: Optional[Callable[[], None]] = None) -> None:
         if width <= 0:
             raise ExecutionError("CDS width must be positive")
         self.width = width
@@ -148,6 +153,7 @@ class ConstraintTree:
         self.frontier: List[int] = [-1] * width
         self.enable_interval_caching = enable_interval_caching
         self.enable_complete_nodes = enable_complete_nodes
+        self.tick = tick
         self.statistics = CDSStatistics()
         self._node_count = 1
 
@@ -215,6 +221,7 @@ class ConstraintTree:
         statistics = self.statistics
         caching = self.enable_interval_caching
         use_complete = self.enable_complete_nodes
+        tick = self.tick
         t = list(self.frontier)
         # stack[d] holds every CDS node at depth d whose pattern
         # generalizes (t_0, ..., t_{d-1}).
@@ -278,6 +285,8 @@ class ConstraintTree:
                     # Ping-pong over the constrainers until a whole round
                     # leaves the value unchanged.
                     while not exhausted:
+                        if tick is not None:
+                            tick()
                         statistics.ping_pong_rounds += 1
                         round_start = value
                         for node in constrainers:
@@ -310,6 +319,8 @@ class ConstraintTree:
                         target = depth - 1
                     if target < 0:
                         return False
+                    if tick is not None:
+                        tick()
                     del stack[target + 1:]
                     depth = target
                     t[depth] += 1

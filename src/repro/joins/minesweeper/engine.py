@@ -368,10 +368,12 @@ class _MinesweeperRun:
         self.width = len(order)
         self.probers = algorithm._build_probers(database, query, order, skeleton)
         self.filter_probes = algorithm._build_filter_probes(query, order)
+        budget = algorithm.budget
         self.cds = ConstraintTree(
             width=self.width,
             enable_interval_caching=algorithm.options.enable_interval_caching,
             enable_complete_nodes=algorithm.options.enable_complete_nodes,
+            tick=budget.tick if budget.seconds is not None else None,
         )
         for constraint in extra_constraints:
             self.cds.insert_constraint(constraint)

@@ -1,9 +1,9 @@
 """A small catalog: named relations plus the trie indexes every engine reads.
 
 The catalog holds one :class:`~repro.storage.trie.TrieIndex` per (relation,
-column order), built on first request.  LFTJ, Minesweeper and ms-count get
-their tries here (through :func:`repro.joins.base.atom_trie`), and atoms
-with constants are answered as slices of a catalog trie
+column order), built on first request.  LFTJ and Minesweeper get their
+tries here (through :func:`repro.joins.base.atom_trie`), and atoms with
+constants are answered as slices of a catalog trie
 (:func:`repro.joins.base.resolve_atom_relation`), so every query, engine and
 service thread over one catalog shares the same tries and their memoised
 prefix ranges.

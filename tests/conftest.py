@@ -8,6 +8,7 @@ from typing import List, Set, Tuple
 import pytest
 
 from repro.storage import Database, edge_relation_from_pairs, node_relation
+from repro.storage.trie import TrieIndex
 
 
 def random_edge_pairs(num_nodes: int, num_edges: int, seed: int) -> List[Tuple[int, int]]:
@@ -57,3 +58,18 @@ def medium_db() -> Database:
     """A 50-node, 180-edge random graph with four samples (for tree queries)."""
     return graph_database(50, 180, seed=11, samples=("v1", "v2", "v3", "v4"),
                           sample_size=6)
+
+
+@pytest.fixture
+def seek_calls(monkeypatch) -> List[int]:
+    """A one-element list counting ``TrieIndex.seek_value`` calls; the
+    wrapper has the exact (self, prefix, value) shape the benchmark's seek
+    counter patches in."""
+    calls = [0]
+    original = TrieIndex.seek_value
+
+    def counting(self, prefix, value):
+        calls[0] += 1
+        return original(self, prefix, value)
+    monkeypatch.setattr(TrieIndex, "seek_value", counting)
+    return calls

@@ -1,7 +1,10 @@
 """Tests for the Minesweeper engine (outer loop, options, Idea 7 skeleton)."""
 
+import time
+
 import pytest
 
+from repro.data.catalog import load_dataset
 from repro.errors import ExecutionError, TimeoutExceeded
 from repro.data.generators import powerlaw_cluster_graph
 from repro.datalog.hypergraph import Hypergraph
@@ -297,3 +300,26 @@ class TestEarlyStop:
             algorithm.count(pin_db, build_query("4-cycle"))
         assert algorithm.last_statistics is not previous
         assert len(algorithm.last_statistics.probe_statistics) == 4
+
+    def test_budget_is_checked_inside_a_free_tuple_search(self, monkeypatch):
+        """Regression: the budget was ticked only between free tuples, so
+        one ``compute_free_tuple`` call of skeleton-less 4-clique on
+        ego-Facebook ran on for more than 12 s past a 1 s budget."""
+        trees = []
+        original = ConstraintTree.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            trees.append(self)
+        monkeypatch.setattr(ConstraintTree, "__init__", recording)
+        database = Database([load_dataset("ego-Facebook")])
+        algorithm = MinesweeperJoin(
+            budget=TimeBudget(1.0),
+            options=MinesweeperOptions(use_skeleton=False))
+        started = time.perf_counter()
+        with pytest.raises(TimeoutExceeded):
+            algorithm.count(database, build_query("4-clique"))
+        assert time.perf_counter() - started < 5.0
+        # Without a budget the CDS gets no tick to call.
+        MinesweeperJoin().count(database, build_query("3-clique"))
+        assert trees[0].tick is not None and trees[-1].tick is None

@@ -18,7 +18,6 @@ from repro.joins import (
     PairwiseHashJoin,
     YannakakisJoin,
 )
-from repro.joins.minesweeper.counting import SharingMinesweeperCounter
 from repro.joins.minesweeper.parallel import PartitionedMinesweeper
 from repro.datalog.hypergraph import Hypergraph
 from repro.queries.patterns import QUERY_PATTERNS, build_query
@@ -33,7 +32,6 @@ ALL_ALGORITHMS = [
     PairwiseHashJoin,
     ColumnAtATimeJoin,
     HybridMinesweeperLeapfrog,
-    SharingMinesweeperCounter,
 ]
 
 # 2-tree and 3-lollipop are exercised on dedicated fixtures because they are
@@ -71,8 +69,7 @@ class TestEveryAlgorithmOnEveryPattern:
     def test_2_tree_cross_validation(self, medium_db):
         query = build_query("2-tree")
         expected = NaiveBacktrackingJoin().count(medium_db, query)
-        for algorithm_class in (LeapfrogTrieJoin, MinesweeperJoin, GenericJoin,
-                                SharingMinesweeperCounter):
+        for algorithm_class in (LeapfrogTrieJoin, MinesweeperJoin, GenericJoin):
             assert algorithm_class().count(medium_db, query) == expected
 
     def test_3_lollipop_cross_validation(self):
@@ -114,5 +111,3 @@ class TestRandomisedGraphSweep:
             expected = NaiveBacktrackingJoin().count(db, query)
             assert LeapfrogTrieJoin().count(db, query) == expected, pattern_name
             assert MinesweeperJoin().count(db, query) == expected, pattern_name
-            assert SharingMinesweeperCounter().count(db, query) == expected, \
-                pattern_name

@@ -11,7 +11,6 @@ from repro.engine import QueryEngine
 from repro.exec import ParallelConfig
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.minesweeper import MinesweeperJoin
-from repro.joins.minesweeper.counting import SharingMinesweeperCounter
 from repro.joins.minesweeper.intervals import IntervalList, POS_INF
 from repro.joins.naive import NaiveBacktrackingJoin
 from repro.storage import Database, Relation, edge_relation_from_pairs, node_relation
@@ -150,7 +149,7 @@ class TestJoinProperties:
         query = parse_query("v1(a), v2(c), edge(a,b), edge(b,c)")
         expected = NaiveBacktrackingJoin().count(db, query)
         assert MinesweeperJoin().count(db, query) == expected
-        assert SharingMinesweeperCounter().count(db, query) == expected
+        assert LeapfrogTrieJoin().count(db, query) == expected
 
     @given(edges_strategy)
     @JOIN_PROPERTY_SETTINGS
@@ -218,14 +217,15 @@ class TestPartitionedExecutionProperties:
     @given(edges_strategy)
     @PARTITION_PROPERTY_SETTINGS
     def test_counting_algorithms_partition_too(self, shards, mode, edges):
-        """Count-only engines (#Minesweeper, Yannakakis) sum across shards."""
+        """Counting paths (LFTJ's memoised count, Yannakakis) sum across
+        shards."""
         db = _database_from_edges(edges)
         engine = QueryEngine(db)
         config = ParallelConfig(shards=shards, mode=mode)
         path = PARTITION_POOL_QUERIES[1]
         expected = engine.count(path, algorithm="naive")
         assert engine.count(
-            path, algorithm="ms-count", parallel=config
+            path, algorithm="lftj", parallel=config
         ) == expected
         assert engine.count(
             path, algorithm="yannakakis", parallel=config
