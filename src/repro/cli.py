@@ -44,11 +44,6 @@ Ten subcommands cover the everyday workflows:
     this process, one server (``--connect``), or a whole fleet merged
     and time-ordered (``--cluster``).
 
-``repro serve``
-    Start a :class:`~repro.service.QueryService` over a dataset and answer
-    query lines read from stdin (an interactive/testable stand-in for a
-    network front end).
-
 ``repro server``
     The real network front end: an asyncio TCP server speaking the
     :mod:`repro.net` wire protocol, with server-side cursors and
@@ -289,28 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="merge the flight recorders of every server "
                              "of a repro://h1:p1,h2:p2,... fleet, "
                              "time-ordered")
-
-    serve = subparsers.add_parser(
-        "serve", help="answer query lines from stdin through the query service"
-    )
-    serve.add_argument("--dataset", required=True, choices=dataset_names(),
-                       help="catalog dataset to serve")
-    serve.add_argument("--selectivity", type=int, default=10,
-                       help="selectivity of the attached v1..v4 node samples "
-                            "(default: 10)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="worker pool width (default: 4)")
-    serve.add_argument("--timeout", type=float, default=None,
-                       help="per-query soft timeout in seconds")
-    serve.add_argument("--scale", type=float, default=1.0,
-                       help="dataset scale factor (default: 1.0)")
-    serve.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="partition each query into N shards evaluated on "
-                            "N worker processes (default: 1, serial)")
-    serve.add_argument("--partition-mode", default="auto",
-                       choices=("auto", "hash", "hypercube"),
-                       help="partitioning scheme for --parallel (default: auto)")
-    _add_logging_arguments(serve)
 
     server = subparsers.add_parser(
         "server", help="serve queries over TCP (repro:// wire protocol)"
@@ -713,8 +686,8 @@ def _graceful_sigterm() -> None:
     """Make SIGTERM interrupt like Ctrl-C so ``finally``/context managers run.
 
     A drained worker pool and closed caches beat a traceback: ``repro
-    serve`` / ``repro server`` catch the resulting KeyboardInterrupt and
-    shut down cleanly.  A no-op off the main thread (tests drive the CLI
+    server`` catches the resulting KeyboardInterrupt and shuts down
+    cleanly.  A no-op off the main thread (tests drive the CLI
     in-process).
     """
     import signal
@@ -726,49 +699,6 @@ def _graceful_sigterm() -> None:
         signal.signal(signal.SIGTERM, _handler)
     except ValueError:
         pass
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    configure_logging(level=args.log_level)
-    log = get_logger("cli")
-    database = _service_database(args.dataset, args.selectivity, args.scale)
-    config = ServiceConfig(workers=args.workers, default_timeout=args.timeout,
-                           parallel_shards=args.parallel,
-                           partition_mode=args.partition_mode,
-                           slow_query_seconds=args.slow_query_threshold)
-    _graceful_sigterm()
-    with QueryService(database, config) as service:
-        log.info("serving %s on stdin", args.dataset,
-                 extra={"data": {"dataset": args.dataset,
-                                 "workers": args.workers,
-                                 "edges": len(database.relation("edge"))}})
-        print(f"serving {args.dataset} "
-              f"({database.relation('edge').arity}-ary edge relation, "
-              f"{len(database.relation('edge')):,} tuples); "
-              f"one query per line, blank line or EOF to stop")
-        try:
-            for line in sys.stdin:
-                text = line.strip()
-                if not text:
-                    break
-                outcome = service.execute(text)
-                if outcome.timed_out:
-                    print(f"timeout after {outcome.seconds:.3f}s")
-                elif outcome.error:
-                    print(f"error: {outcome.error}")
-                else:
-                    cache = ("result-cache" if outcome.result_cached
-                             else "plan-cache" if outcome.plan_cached
-                             else "cold")
-                    print(f"{outcome.count:,} results in "
-                          f"{outcome.seconds:.4f}s "
-                          f"[{outcome.algorithm}, {cache}]")
-        except KeyboardInterrupt:
-            print("interrupted; draining", flush=True)
-        stats = service.stats().as_dict()
-    log.info("serve loop finished", extra={"data": stats})
-    print("served: " + ", ".join(f"{k}={v}" for k, v in stats.items()))
-    return 0
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
@@ -993,8 +923,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_metrics(args)
         if args.command == "events":
             return _cmd_events(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
         if args.command == "server":
             return _cmd_server(args)
         if args.command == "workload":

@@ -350,7 +350,7 @@ class ClusterSession:
         treated like a transport failure and re-routed.  ``None`` (the
         default) leaves shards bounded only by ``QueryOptions.timeout``
         server-side.
-    retries / retry_backoff / connect_timeout / fetch_size / wire_encoding:
+    retries / retry_backoff / connect_timeout / fetch_size:
         Per-server resilience knobs, passed to each underlying
         :class:`~repro.net.client.AsyncRemoteSession`.
     """
@@ -362,8 +362,7 @@ class ClusterSession:
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
                  connect_timeout: float = 10.0,
                  hedge_after: Optional[float] = None,
-                 shard_deadline: Optional[float] = None,
-                 wire_encoding: Optional[str] = None) -> None:
+                 shard_deadline: Optional[float] = None) -> None:
         _validate_resilience_knobs(None, retries, retry_backoff)
         for name, value in (("hedge_after", hedge_after),
                             ("shard_deadline", shard_deadline)):
@@ -389,7 +388,7 @@ class ClusterSession:
             defaults=self.defaults, fetch_size=self.fetch_size,
             retries=self.retries, retry_backoff=self.retry_backoff,
             connect_timeout=connect_timeout, hedge_after=hedge_after,
-            shard_deadline=shard_deadline, wire_encoding=wire_encoding,
+            shard_deadline=shard_deadline,
             source="coordinator", peer_dispatch=False,
         )
         self.topology = self._engine.topology

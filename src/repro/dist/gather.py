@@ -142,7 +142,7 @@ class GatherEngine:
         Straggler policy — duplicate a shard to a sibling after
         ``hedge_after`` seconds (first answer wins), fail-and-re-route a
         shard that misses ``shard_deadline``.
-    retries / retry_backoff / connect_timeout / fetch_size / wire_encoding:
+    retries / retry_backoff / connect_timeout / fetch_size:
         Per-server resilience knobs for the underlying sessions.
     source:
         The flight-recorder source tag for this engine's gather events:
@@ -167,7 +167,6 @@ class GatherEngine:
                  connect_timeout: float = 10.0,
                  hedge_after: Optional[float] = None,
                  shard_deadline: Optional[float] = None,
-                 wire_encoding: Optional[str] = None,
                  source: str = "coordinator",
                  peer_dispatch: bool = False,
                  statistics: Optional[
@@ -181,7 +180,6 @@ class GatherEngine:
         self.connect_timeout = connect_timeout
         self.hedge_after = hedge_after
         self.shard_deadline = shard_deadline
-        self.wire_encoding = wire_encoding
         self.source = source
         self.peer_dispatch = peer_dispatch
         self._statistics = statistics
@@ -223,7 +221,6 @@ class GatherEngine:
                 fetch_size=self.fetch_size, retries=self.retries,
                 retry_backoff=self.retry_backoff,
                 connect_timeout=self.connect_timeout,
-                wire_encoding=self.wire_encoding,
             )
             await session._open()
             self._sessions[server.url] = session
@@ -723,8 +720,7 @@ class PeerCoordinator:
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
                  connect_timeout: float = 10.0,
                  hedge_after: Optional[float] = None,
-                 shard_deadline: Optional[float] = None,
-                 wire_encoding: Optional[str] = None) -> None:
+                 shard_deadline: Optional[float] = None) -> None:
         self.service = service
         self.peers = tuple(peers)
         urls = parse_peers(self.peers)
@@ -732,7 +728,7 @@ class PeerCoordinator:
             Topology(urls), defaults=defaults, fetch_size=fetch_size,
             retries=retries, retry_backoff=retry_backoff,
             connect_timeout=connect_timeout, hedge_after=hedge_after,
-            shard_deadline=shard_deadline, wire_encoding=wire_encoding,
+            shard_deadline=shard_deadline,
             source="peer", peer_dispatch=True,
             statistics=self._statistics,
         )

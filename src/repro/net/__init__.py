@@ -8,9 +8,10 @@ multi-client system::
                                + stats                       result caches,
                                                              admission control)
 
-* :mod:`repro.net.protocol` — length-prefixed JSON frames with request
-  ids and error envelopes mapping onto the :class:`~repro.errors.ReproError`
-  taxonomy (and therefore onto the CLI's exit codes).
+* :mod:`repro.net.protocol` — length-prefixed frames (JSON control
+  frames, binary columnar row pages) with request ids and error
+  envelopes mapping onto the :class:`~repro.errors.ReproError` taxonomy
+  (and therefore onto the CLI's exit codes).
 * :mod:`repro.net.server` — an :mod:`asyncio` TCP server fronting one
   shared :class:`~repro.service.QueryService`; results are held open as
   **server-side cursors** the client pages with ``FETCH`` requests.
@@ -26,7 +27,6 @@ Everything here sits at the very top of the layer stack; nothing below
 """
 
 from repro.net.client import (
-    WIRE_ENCODING_ENV,
     AsyncRemotePreparedHandle,
     AsyncRemoteSession,
     ConnectionPool,
@@ -37,7 +37,7 @@ from repro.net.client import (
     connect_async,
     parse_url,
 )
-from repro.net.protocol import PROTOCOL_VERSION, WIRE_ENCODINGS
+from repro.net.protocol import PROTOCOL_VERSION
 from repro.net.server import ReproServer, ServerThread
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "RemoteSession",
     "ReproServer",
     "ServerThread",
-    "WIRE_ENCODINGS",
-    "WIRE_ENCODING_ENV",
     "connect",
     "connect_async",
     "parse_url",

@@ -48,7 +48,6 @@ handling — including the CLI's exit-code mapping — is transport-agnostic.
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
@@ -76,23 +75,6 @@ from repro.obs.trace import new_trace_id
 #: How many rows one iteration-driven fetch pulls by default.
 DEFAULT_FETCH_SIZE = 512
 
-#: Environment override for the row-page wire encoding ("binary" or
-#: "json").  Forcing "json" makes a v2 client behave exactly like a v1
-#: peer — it stops advertising encodings in ``hello`` — which is how the
-#: CI smoke proves negotiation fallback against a live server.
-WIRE_ENCODING_ENV = "REPRO_WIRE_ENCODING"
-
-
-def _resolve_wire_encoding(value: Optional[str]) -> str:
-    if value is None:
-        value = os.environ.get(WIRE_ENCODING_ENV) or "binary"
-    if value not in protocol.WIRE_ENCODINGS:
-        raise OptionsError(
-            f"wire_encoding must be one of {protocol.WIRE_ENCODINGS}, "
-            f"got {value!r}"
-        )
-    return value
-
 #: Connections a :class:`ConnectionPool` may hold open at once.
 DEFAULT_POOL_SIZE = 4
 
@@ -105,7 +87,7 @@ DEFAULT_RETRY_BACKOFF = 0.05
 _MAX_RETRY_BACKOFF = 2.0
 
 #: Operations safe to replay on a fresh connection after a transport
-#: failure.  ``run`` / ``explain`` / ``execute`` only plan, ``count`` /
+#: failure.  ``run`` / ``explain`` only plan, ``count`` /
 #: ``stats`` / ``metrics`` only read, ``hello`` is a handshake,
 #: ``prepare`` is idempotent by design (the registry dedups), and a
 #: replayed ``deallocate`` frees at most the same handle.  The peer ops
@@ -117,7 +99,7 @@ _MAX_RETRY_BACKOFF = 2.0
 #: because an unacknowledged cursor died with its connection).
 IDEMPOTENT_OPS = frozenset(
     {"hello", "run", "explain", "count", "stats", "metrics", "events",
-     "prepare", "execute", "deallocate", "cluster_run", "cluster_count"}
+     "prepare", "deallocate", "cluster_run", "cluster_count"}
 )
 
 
@@ -728,13 +710,9 @@ class RemoteResultSet(RowCursor):
             raise CursorError(self._gone)
         started = time.perf_counter()
         self._ensure_cursor()
-        params = {"cursor": self._cursor_id, "size": size}
-        if self._session.wire_encoding == "binary":
-            # Binary frames are self-describing and per-request: a server
-            # that never advertised binary support is never asked.
-            params["encoding"] = "binary"
         try:
-            response = self._conn.exchange("fetch", **params)
+            response = self._conn.exchange("fetch", cursor=self._cursor_id,
+                                           size=size)
         except (NetworkError, ProtocolError) as error:
             # The connection carrying the cursor is gone, and with it the
             # server-side stream.  A fetch is NOT idempotent — replaying
@@ -770,7 +748,7 @@ class RemoteResultSet(RowCursor):
             self._release_conn()
             raise
         self._seconds += time.perf_counter() - started
-        rows = [tuple(row) for row in body["rows"]]
+        rows = body["rows"]
         if body["done"]:
             self._done = True
             self._final = body.get("stats") or {}
@@ -1014,14 +992,6 @@ class RemoteSession:
         replayed on a fresh connection after a transport failure, with
         exponential backoff starting at ``retry_backoff`` seconds.
         Cursor fetches are never retried.
-    wire_encoding:
-        ``"binary"`` (the default) advertises the columnar binary fetch
-        encoding in the handshake and uses it when the server agrees;
-        ``"json"`` skips the advertisement entirely — indistinguishable,
-        on the wire, from a protocol-v1 client.  The environment
-        variable :data:`WIRE_ENCODING_ENV` overrides the default when
-        the argument is ``None``.  ``self.wire_encoding`` afterwards
-        holds what was actually negotiated.
     """
 
     def __init__(self, url: str, *, options: Optional[QueryOptions] = None,
@@ -1029,28 +999,19 @@ class RemoteSession:
                  connect_timeout: float = 10.0,
                  pool_size: int = DEFAULT_POOL_SIZE,
                  retries: int = DEFAULT_RETRIES,
-                 retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                 wire_encoding: Optional[str] = None) -> None:
+                 retry_backoff: float = DEFAULT_RETRY_BACKOFF) -> None:
         _validate_resilience_knobs(pool_size, retries, retry_backoff)
         self.url = url
         self.defaults = options if options is not None else QueryOptions()
         self.fetch_size = max(1, int(fetch_size))
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
-        self._wire_encoding = _resolve_wire_encoding(wire_encoding)
-        self.wire_encoding = "json"  # until the handshake says otherwise
         self._pool = ConnectionPool(url, size=pool_size,
                                     connect_timeout=connect_timeout)
         self._retries_attempted = 0
         self._closed = False
         try:
-            hello_params = {}
-            if self._wire_encoding == "binary":
-                hello_params["encodings"] = list(protocol.WIRE_ENCODINGS)
-            self.server_info = self._request("hello", **hello_params)
-            if self._wire_encoding == "binary" \
-                    and self.server_info.get("encoding") == "binary":
-                self.wire_encoding = "binary"
+            self.server_info = self._request("hello")
         except BaseException:
             # A failed handshake (e.g. the endpoint is not a repro
             # server) must not leak sockets out of a constructor the
@@ -1315,9 +1276,7 @@ class RemoteSession:
         """
         response = self._request("stats")
         stats = {key: response[key]
-                 for key in ("connection", "cursors", "service")}
-        if "prepared" in response:  # absent from protocol-v1 servers
-            stats["prepared"] = response["prepared"]
+                 for key in ("connection", "cursors", "prepared", "service")}
         stats["client"] = {
             "retries": self._retries_attempted,
             "health_replaced": self._pool.health_replaced,
@@ -1377,8 +1336,7 @@ def connect(url: str, *,
             connect_timeout: float = 10.0,
             pool_size: int = DEFAULT_POOL_SIZE,
             retries: int = DEFAULT_RETRIES,
-            retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-            wire_encoding: Optional[str] = None) -> RemoteSession:
+            retry_backoff: float = DEFAULT_RETRY_BACKOFF) -> RemoteSession:
     """Open a :class:`RemoteSession`; keyword args become its defaults.
 
     ``route="peer"`` makes every query travel as a peer-coordinated
@@ -1393,8 +1351,7 @@ def connect(url: str, *,
     return RemoteSession(url, options=options, fetch_size=fetch_size,
                          connect_timeout=connect_timeout,
                          pool_size=pool_size, retries=retries,
-                         retry_backoff=retry_backoff,
-                         wire_encoding=wire_encoding)
+                         retry_backoff=retry_backoff)
 
 
 # ----------------------------------------------------------------------
@@ -1512,11 +1469,9 @@ class AsyncRemoteResultSet:
                 "re-run the query for a fresh result set"
             )
             raise CursorError(self._gone)
-        params = {"cursor": self._cursor_id, "size": size}
-        if self._session.wire_encoding == "binary":
-            params["encoding"] = "binary"
         try:
-            response = await self._session._send("fetch", params)
+            response = await self._session._send(
+                "fetch", {"cursor": self._cursor_id, "size": size})
         except (NetworkError, ProtocolError) as error:
             self._gone = (
                 f"the server-side cursor for this result set is gone "
@@ -1537,7 +1492,7 @@ class AsyncRemoteResultSet:
                 "fresh result set"
             )
             raise
-        rows = [tuple(row) for row in body["rows"]]
+        rows = body["rows"]
         if body["done"]:
             self._done = True
             stats = body.get("stats") or {}
@@ -1680,8 +1635,7 @@ class AsyncRemoteSession:
                  fetch_size: int = DEFAULT_FETCH_SIZE,
                  retries: int = DEFAULT_RETRIES,
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                 connect_timeout: float = 10.0,
-                 wire_encoding: Optional[str] = None) -> None:
+                 connect_timeout: float = 10.0) -> None:
         _validate_resilience_knobs(None, retries, retry_backoff)
         self.url = url
         self.defaults = options if options is not None else QueryOptions()
@@ -1689,8 +1643,6 @@ class AsyncRemoteSession:
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
         self.connect_timeout = connect_timeout
-        self._wire_encoding = _resolve_wire_encoding(wire_encoding)
-        self.wire_encoding = "json"  # until the handshake says otherwise
         # (text, algorithm) -> (handle, connection generation).  Handles
         # are per-connection server state, so a reconnect (generation
         # bump) strands every mapping; _ensure_prepared re-prepares.
@@ -1714,13 +1666,7 @@ class AsyncRemoteSession:
         self._write_lock = asyncio.Lock()
         try:
             await self._ensure_connected()
-            hello_params = {}
-            if self._wire_encoding == "binary":
-                hello_params["encodings"] = list(protocol.WIRE_ENCODINGS)
-            self.server_info = await self._request("hello", **hello_params)
-            if self._wire_encoding == "binary" \
-                    and self.server_info.get("encoding") == "binary":
-                self.wire_encoding = "binary"
+            self.server_info = await self._request("hello")
         except BaseException:
             # A failed handshake must not leak the transport or the
             # reader task out of a constructor the caller never got a
@@ -2078,9 +2024,7 @@ class AsyncRemoteSession:
         first connect)."""
         response = await self._request("stats")
         stats = {key: response[key]
-                 for key in ("connection", "cursors", "service")}
-        if "prepared" in response:  # absent from protocol-v1 servers
-            stats["prepared"] = response["prepared"]
+                 for key in ("connection", "cursors", "prepared", "service")}
         stats["client"] = {
             "retries": self._retries_attempted,
             "reconnects": max(0, self._generation - 1),
@@ -2198,8 +2142,7 @@ async def connect_async(url: str, *,
                         fetch_size: int = DEFAULT_FETCH_SIZE,
                         retries: int = DEFAULT_RETRIES,
                         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                        connect_timeout: float = 10.0,
-                        wire_encoding: Optional[str] = None
+                        connect_timeout: float = 10.0
                         ) -> AsyncRemoteSession:
     """Open an :class:`AsyncRemoteSession`: ``await repro.net.connect_async(...)``."""
     options = QueryOptions(
@@ -2209,6 +2152,5 @@ async def connect_async(url: str, *,
     )
     session = AsyncRemoteSession(url, options=options, fetch_size=fetch_size,
                                  retries=retries, retry_backoff=retry_backoff,
-                                 connect_timeout=connect_timeout,
-                                 wire_encoding=wire_encoding)
+                                 connect_timeout=connect_timeout)
     return await session._open()

@@ -9,17 +9,16 @@ prefix bit  body
 ==========  ==========================================================
 ``0``       UTF-8 JSON object (all requests and control responses)
 ``1``       binary columnar: 4-byte header length, UTF-8 JSON header,
-            then concatenated column blocks (``fetch`` row pages)
+            then concatenated column blocks (every successful
+            ``fetch`` response)
 ==========  ==========================================================
 
 A binary header is a normal response object plus ``"n"`` (row count)
 and ``"cols"`` (``[kind, count, nbytes]`` per column, see
 :mod:`repro.net.columnar`); the frame readers decode it transparently,
-handing back the same dict a JSON frame would carry with ``rows``
-already materialized.  Binary frames are **negotiated**: the client
-advertises ``encodings`` in ``hello``, the server answers with the
-ones it supports, and the client then asks for binary per ``fetch``
-request — old peers on either side simply never leave JSON.
+handing back the response dict with ``rows`` already materialized as
+tuples.  Row pages have one encoding, so nothing is negotiated: a
+failed ``fetch`` answers with an ordinary JSON error envelope.
 
 Requests carry a client-chosen ``id`` (monotonically increasing per
 connection) and an ``op``.  Ids are what make **pipelining** work: a
@@ -53,18 +52,16 @@ Operations
 =============== ==================================== =========================
 op              request fields                       response fields
 =============== ==================================== =========================
-``hello``       [encodings]                          server, protocol, version,
-                                                     relations, encodings,
-                                                     encoding
+``hello``       —                                    server, protocol, version,
+                                                     relations
 ``run``         query, options                       columns, algorithm,
                                                      shards, partitioning,
                                                      plan_cached
 ``prepare``     query, options                       handle, columns,
                                                      algorithm, ...
-``execute``     handle, options                      columns, algorithm, ...
 ``deallocate``  handle                               deallocated
 ``cursor``      query|handle, options                cursor
-``fetch``       cursor, size[, encoding]             rows, done[, stats]
+``fetch``       cursor, size                         rows, done[, stats]
 ``close``       cursor                               closed
 ``count``       query|handle, options                count, algorithm, shards,
                                                      result_cached
@@ -94,9 +91,9 @@ costs O(k) end-to-end, and a result set that is only counted or never
 consumed pins nothing on the server.
 
 ``prepare`` compiles a query once and registers the compiled shape
-per-connection (idle TTL + cap, like cursors); ``execute``, ``cursor``
-and ``count`` may then reference the ``handle`` instead of resending
-query text, skipping parse/analysis/attribute-ordering on every call
+per-connection (idle TTL + cap, like cursors); ``cursor`` and
+``count`` may then reference the ``handle`` instead of resending query
+text, skipping parse/analysis/attribute-ordering on every call
 and letting the plan cache key on the prepared text.
 
 The ``cluster_*`` ops are **peer coordination**: a frame with ``hop=0``
@@ -151,13 +148,8 @@ from repro.errors import (
 from repro.net import columnar
 
 #: Bumped on incompatible protocol changes; exchanged in ``hello``.
-#: Version 2 added binary columnar fetch frames and prepared-statement
-#: handles; version-1 peers keep working (new fields are additive and
-#: binary frames are only sent when asked for).
-PROTOCOL_VERSION = 2
-
-#: Row-page encodings this build can speak, preference first.
-WIRE_ENCODINGS = ("binary", "json")
+#: Version 3: ``fetch`` row pages are binary columnar frames only.
+PROTOCOL_VERSION = 3
 
 #: Hard upper bound on one frame.  Large answers stream as many ``fetch``
 #: pages, so a frame this size indicates a broken peer, not a big result.

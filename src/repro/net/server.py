@@ -419,10 +419,10 @@ class ReproServer:
         inflight.inc()
         try:
             response = await self._dispatch(connection, frame)
-            binary = bool(response.pop("_binary", False))
+            page = frame.get("op") == "fetch" and response.get("ok")
             try:
-                if binary:
-                    rows = response.pop("rows", [])
+                if page:
+                    rows = response.pop("rows")
                     meta, blocks = columnar.encode_columns(rows)
                     payload = protocol.encode_binary_frame(
                         dict(response, cols=meta, n=len(rows)), blocks
@@ -440,14 +440,10 @@ class ReproServer:
                         f"response could not be encoded: {error}"
                     ),
                 ))
-                binary = False
-            if frame.get("op") == "fetch" and response.get("ok"):
-                encoding = "binary" if binary else "json"
-                registry.counter("repro_wire_encoding_total").inc(
-                    encoding=encoding
-                )
+                page = False
+            if page:
                 registry.histogram("repro_wire_fetch_payload_bytes").observe(
-                    len(payload) - 4, encoding=encoding
+                    len(payload) - 4
                 )
             registry.counter("repro_server_frames_total").inc(
                 direction="out", op=self._op_label(frame.get("op"))
@@ -651,24 +647,11 @@ class ReproServer:
     async def _op_hello(self, connection: _Connection, frame: dict) -> dict:
         import repro
 
-        # Encoding negotiation: pick the first mutually supported row
-        # encoding, preferring the client's order.  A v1 client sends no
-        # ``encodings`` and lands on JSON — and since row pages only go
-        # binary when a fetch explicitly asks, the fallback is total.
-        offered = frame.get("encodings")
-        chosen = "json"
-        if isinstance(offered, list):
-            for name in offered:
-                if name in protocol.WIRE_ENCODINGS:
-                    chosen = name
-                    break
         return {
             "server": "repro",
             "protocol": protocol.PROTOCOL_VERSION,
             "version": repro.__version__,
             "relations": sorted(self.service.database.names()),
-            "encodings": list(protocol.WIRE_ENCODINGS),
-            "encoding": chosen,
         }
 
     async def _op_run(self, connection: _Connection, frame: dict) -> dict:
@@ -724,27 +707,17 @@ class ReproServer:
     async def _op_fetch(self, connection: _Connection, frame: dict) -> dict:
         cursor_id = frame.get("cursor")
         size = frame.get("size")
-        encoding = frame.get("encoding")
         if not isinstance(cursor_id, int):
             raise ProtocolError("'cursor' must be an integer id")
         if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise ProtocolError(f"'size' must be a positive int, got {size!r}")
-        if encoding not in (None, "json", "binary"):
-            raise ProtocolError(
-                f"unknown fetch encoding {encoding!r}; "
-                f"supported: {protocol.WIRE_ENCODINGS}"
-            )
         size = min(size, MAX_FETCH_SIZE)
         rows, done, cursor = await self._call(
             connection.registry.fetch, cursor_id, size
         )
-        if encoding == "binary":
-            # Rows stay as tuples; _serve_frame packs them column-major
-            # into a binary frame (the _binary marker never hits the
-            # wire).
-            body = {"rows": list(rows), "done": done, "_binary": True}
-        else:
-            body = {"rows": [list(row) for row in rows], "done": done}
+        # _serve_frame packs the row tuples column-major into a binary
+        # frame.
+        body = {"rows": rows, "done": done}
         if done:
             stats = cursor.result_set.stats
             body["stats"] = {
@@ -855,30 +828,6 @@ class ReproServer:
         statement, result_set = await self._call(prepare)
         return {
             "handle": statement.handle,
-            "columns": list(result_set.columns),
-            "algorithm": result_set.algorithm,
-            "requested_algorithm":
-                result_set.plan.prepared.requested_algorithm,
-            "shards": result_set.shards,
-            "partitioning": result_set.plan.partition_key(),
-            "plan_cached": result_set.stats.plan_cached,
-        }
-
-    async def _op_execute(self, connection: _Connection,
-                          frame: dict) -> dict:
-        """``run`` by prepared handle: plan-only, zero parses."""
-        statement = connection.prepared.resolve(self._handle_id(frame))
-        options = frame.get("options") or {}
-        if not isinstance(options, dict):
-            raise ProtocolError("'options' must be a JSON object")
-
-        def plan_only():
-            opts = self.service.session.options(**options)
-            return self.service.session.run(statement.query, opts)
-
-        result_set = await self._call(plan_only)
-        connection.stats.queries += 1
-        return {
             "columns": list(result_set.columns),
             "algorithm": result_set.algorithm,
             "requested_algorithm":
@@ -1083,7 +1032,6 @@ class ReproServer:
         "hello": _op_hello,
         "run": _op_run,
         "prepare": _op_prepare,
-        "execute": _op_execute,
         "deallocate": _op_deallocate,
         "cursor": _op_cursor,
         "fetch": _op_fetch,

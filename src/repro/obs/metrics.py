@@ -498,15 +498,9 @@ def declare_standard_metrics(registry: MetricsRegistry) -> None:
         "Server-side prepared-statement lifecycle events.",
         ("event",),
     )
-    registry.counter(
-        "repro_wire_encoding_total",
-        "Row pages served by wire encoding (binary columnar vs JSON).",
-        ("encoding",),
-    )
     registry.histogram(
         "repro_wire_fetch_payload_bytes",
-        "Bytes per fetch-response frame body, by wire encoding.",
-        ("encoding",),
+        "Bytes per binary row-page (fetch response) frame body.",
         buckets=SIZE_BUCKETS,
     )
     registry.counter(

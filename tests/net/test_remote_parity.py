@@ -46,13 +46,10 @@ def server(service):
         yield server
 
 
-@pytest.fixture(scope="module", params=["binary", "json"])
-def remote(server, request):
-    # "json" exercises a protocol-v1 client: no encodings advertised in
-    # hello, every row page a JSON frame — the full parity suite must
-    # pass identically against the v2 server.
-    with RemoteSession(server.url, wire_encoding=request.param) as session:
-        assert session.wire_encoding == request.param
+# The id names the row-page wire every parity case runs over.
+@pytest.fixture(scope="module", params=["binary"])
+def remote(server):
+    with RemoteSession(server.url) as session:
         yield session
 
 

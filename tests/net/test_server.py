@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.joins.naive import NaiveBacktrackingJoin
 from repro.net import protocol
-from repro.net.client import RemoteSession, connect_async
+from repro.net.client import RemoteSession, connect_async, parse_url
 from repro.net.server import ServerThread
 from repro.service import QueryService, ServiceConfig
 from repro.storage import Database, edge_relation_from_pairs
@@ -118,6 +118,45 @@ class TestHello:
         finally:
             listener.close()
             acceptor.join(timeout=5)
+
+
+class TestRawFrames:
+    """Requests written straight to a socket, responses read frame by
+    frame, so the frame encoding itself is under test."""
+
+    @staticmethod
+    def _exchange(stream, request):
+        stream.write(protocol.encode_frame(request))
+        stream.flush()
+        prefix = stream.read(4)
+        (word,) = protocol._LENGTH.unpack(prefix)
+        body = stream.read(word & (protocol.BINARY_FLAG - 1))
+        chunks = [prefix, body]
+        response = protocol.read_frame(
+            lambda size: chunks.pop(0) if chunks else b"")
+        return bool(word & protocol.BINARY_FLAG), response
+
+    def test_every_fetch_page_is_binary(self, server, local):
+        with socket.create_connection(parse_url(server.url),
+                                      timeout=10) as sock, \
+                sock.makefile("rwb") as stream:
+            # A protocol-v2 client still advertises encodings in hello.
+            binary, hello = self._exchange(stream, {
+                "id": 1, "op": "hello", "encodings": ["binary", "json"]})
+            assert not binary and hello["ok"]
+            assert hello["protocol"] == protocol.PROTOCOL_VERSION
+            pages = []
+            for request_id, extra in ((2, {}), (4, {"encoding": "binary"})):
+                _, opened = self._exchange(stream, {
+                    "id": request_id, "op": "cursor", "query": TWO_HOP,
+                    "options": {}})
+                binary, page = self._exchange(stream, dict(
+                    extra, id=request_id + 1, op="fetch",
+                    cursor=opened["cursor"], size=10_000))
+                assert binary and page["ok"] and page["done"]
+                pages.append(page["rows"])
+        assert pages[0] == pages[1]
+        assert sorted(pages[0]) == sorted(local.run(TWO_HOP).fetchall())
 
 
 class TestRunAndFetch:

@@ -1,11 +1,8 @@
-"""Binary columnar wire negotiation, fallback, metrics, and fetch paging.
+"""Wire frames and paging: frame-size limits, the payload histogram,
+and ``fetch_size``.
 
-The binary encoding is *negotiated*: a v2 client advertises
-``encodings`` in ``hello``, the server answers with what it supports,
-and each ``fetch`` then opts in per request.  A client that never
-advertises (``wire_encoding="json"``, the ``REPRO_WIRE_ENCODING`` env
-var, or any protocol-v1 build) must get byte-for-byte the JSON behaviour
-it always had — same rows, same errors — against the new server.
+Every successful ``fetch`` response is a binary columnar frame; the
+raw-frame checks of that live in ``test_server.py``.
 """
 
 import asyncio
@@ -14,11 +11,7 @@ import pytest
 
 from repro.errors import FrameError, OptionsError, ProtocolError
 from repro.net import protocol
-from repro.net.client import (
-    WIRE_ENCODING_ENV,
-    RemoteSession,
-    connect_async,
-)
+from repro.net.client import RemoteSession
 from repro.net.server import ServerThread
 from repro.obs.metrics import global_registry
 from repro.service import QueryService
@@ -40,111 +33,15 @@ def server(service):
         yield server
 
 
-def _normalized(rows):
-    return sorted(tuple(row) for row in rows)
-
-
-# ----------------------------------------------------------------------
-# Negotiation
-# ----------------------------------------------------------------------
-def test_default_client_negotiates_binary(server):
-    with RemoteSession(server.url) as session:
-        assert session.wire_encoding == "binary"
-        assert session.server_info["encoding"] == "binary"
-        assert list(session.server_info["encodings"]) == \
-            list(protocol.WIRE_ENCODINGS)
-
-
-def test_forced_json_client_stays_json(server):
-    with RemoteSession(server.url, wire_encoding="json") as session:
-        # No advertisement -> the server answers "json", exactly as it
-        # would to a protocol-v1 client that has no encodings field.
-        assert session.wire_encoding == "json"
-        assert session.server_info["encoding"] == "json"
-
-
-def test_env_var_forces_json(server, monkeypatch):
-    monkeypatch.setenv(WIRE_ENCODING_ENV, "json")
-    with RemoteSession(server.url) as session:
-        assert session.wire_encoding == "json"
-
-
-def test_explicit_argument_beats_env(server, monkeypatch):
-    monkeypatch.setenv(WIRE_ENCODING_ENV, "json")
-    with RemoteSession(server.url, wire_encoding="binary") as session:
-        assert session.wire_encoding == "binary"
-
-
-def test_unknown_encoding_rejected(server):
-    with pytest.raises(OptionsError, match="wire_encoding"):
-        RemoteSession(server.url, wire_encoding="msgpack")
-
-
-def test_server_rejects_bad_fetch_encoding(server):
-    with RemoteSession(server.url) as session:
-        conn = session._pool.checkout()
-        try:
-            result = session.run(QUERY)
-            result.fetchmany(1)  # open the cursor on its own connection
-            response = conn.exchange("fetch",
-                                     cursor=result._cursor_id,
-                                     size=1, encoding="msgpack")
-            assert response["ok"] is False
-            assert response["error"]["code"] == "protocol"
-        finally:
-            session._pool.checkin(conn)
-
-
-# ----------------------------------------------------------------------
-# Parity: both encodings, same answer
-# ----------------------------------------------------------------------
-def test_binary_and_json_fetch_identical_rows(server):
-    with RemoteSession(server.url) as binary, \
-            RemoteSession(server.url, wire_encoding="json") as json_only:
-        expected = _normalized(json_only.run(QUERY).fetchall())
-        assert expected  # the graph is dense enough to answer
-        assert _normalized(binary.run(QUERY).fetchall()) == expected
-
-
-def test_async_binary_matches_sync_json(server):
-    with RemoteSession(server.url, wire_encoding="json") as json_only:
-        expected = _normalized(json_only.run(QUERY).fetchall())
-
-    async def fetch_binary():
-        session = await connect_async(server.url)
-        try:
-            assert session.wire_encoding == "binary"
-            return await (await session.run(QUERY)).fetchall()
-        finally:
-            await session.close()
-
-    assert _normalized(asyncio.run(fetch_binary())) == expected
-
-
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def test_wire_metrics_count_both_encodings(server):
-    counter = global_registry().counter("repro_wire_encoding_total")
-    before_binary = counter.value(encoding="binary")
-    before_json = counter.value(encoding="json")
-    with RemoteSession(server.url) as session:
-        session.run(QUERY).fetchall()
-    with RemoteSession(server.url, wire_encoding="json") as session:
-        session.run(QUERY).fetchall()
-    assert counter.value(encoding="binary") > before_binary
-    assert counter.value(encoding="json") > before_json
-
-
 def test_payload_bytes_histogram_rendered_in_metrics(server):
     with RemoteSession(server.url) as session:
         session.run(QUERY).fetchall()
         text = session.metrics()
-    assert 'repro_wire_encoding_total{encoding="binary"}' in text
-    assert "repro_wire_fetch_payload_bytes" in text
     buckets = [line for line in text.splitlines()
-               if line.startswith("repro_wire_fetch_payload_bytes_count")
-               and 'encoding="binary"' in line]
+               if line.startswith("repro_wire_fetch_payload_bytes_count")]
     assert buckets and float(buckets[0].split()[-1]) > 0
 
 
@@ -159,16 +56,16 @@ def test_fetch_size_validates(bad):
 
 
 def test_fetch_size_controls_page_count(server):
-    counter = global_registry().counter("repro_wire_encoding_total")
+    histogram = global_registry().histogram("repro_wire_fetch_payload_bytes")
     with RemoteSession(server.url) as session:
         total = len(session.run(QUERY).fetchall())
         assert total > 8
-        before = counter.value(encoding="binary")
+        before = histogram.count()
         rows = session.run(QUERY, fetch_size=(total + 1) // 2).fetchall()
         assert len(rows) == total
         # ceil(total / page) pages plus the final empty "done" page at
         # most — far fewer than one per row, and more than one page.
-        pages = counter.value(encoding="binary") - before
+        pages = histogram.count() - before
         assert 2 <= pages <= 3
 
 

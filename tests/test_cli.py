@@ -283,49 +283,6 @@ class TestEvents:
         assert "--route" in capsys.readouterr().err
 
 
-class TestServe:
-    def test_answers_queries_from_stdin(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO("edge(a,b), edge(b,c), edge(a,c), a<b<c\n"
-                        "edge(a,b), edge(b,c), edge(a,c), a<b<c\n"),
-        )
-        code = main(["serve", "--dataset", "p2p-Gnutella04"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serving p2p-Gnutella04" in out
-        assert "results in" in out
-        # The repeated query is answered from the result cache.
-        assert "result-cache" in out
-        assert "served:" in out
-
-    def test_reports_bad_queries_without_crashing(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin",
-                            io.StringIO("nosuch(a, b)\nedge(a,\n"))
-        code = main(["serve", "--dataset", "p2p-Gnutella04"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("error:") == 2
-
-    def test_interrupt_drains_instead_of_tracebacking(self, capsys,
-                                                      monkeypatch):
-        class InterruptedStdin:
-            """One good line, then the operator hits Ctrl-C."""
-
-            def __iter__(self):
-                yield "edge(a,b), edge(b,c), edge(a,c), a<b<c\n"
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr("sys.stdin", InterruptedStdin())
-        code = main(["serve", "--dataset", "p2p-Gnutella04"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "interrupted; draining" in out
-        assert "served:" in out  # the pool drained and stats printed
-
-
 class TestRemote:
     """query/explain --connect against an in-process wire server."""
 
